@@ -289,31 +289,43 @@ fn bench(c: &mut Criterion) {
             })
         });
         g.finish();
+    }
 
-        // The two GEMM shapes the relevance scorer hits hardest: the input
-        // layer (batch 256, 300 -> 64) and the hidden layer (batch 256,
-        // 64 -> 32). The `ikj_axpy` entries reproduce the pre-blocking
-        // kernel (one axpy per scalar of A) as the before/after reference.
-        let ikj_axpy = |a: &Matrix, b: &Matrix| -> Matrix {
-            let mut out = Matrix::zeros(a.rows(), b.cols());
-            for i in 0..a.rows() {
-                for (k, &v) in a.row(i).iter().enumerate() {
-                    if v != 0.0 {
-                        wym_linalg::vector::axpy(v, b.row(k), out.row_mut(i));
-                    }
-                }
-            }
-            out
-        };
-        let mut g = c.benchmark_group("gemm");
-        let a = Matrix::randn(256, 300, 1.0, &mut rng);
-        let b = Matrix::randn(300, 64, 1.0, &mut rng);
-        g.bench_function("matmul_256x300x64", |bch| bch.iter(|| a.matmul(&b)));
-        g.bench_function("matmul_256x300x64_ikj_axpy", |bch| bch.iter(|| ikj_axpy(&a, &b)));
-        let a2 = Matrix::randn(256, 64, 1.0, &mut rng);
-        let b2 = Matrix::randn(64, 32, 1.0, &mut rng);
-        g.bench_function("matmul_256x64x32", |bch| bch.iter(|| a2.matmul(&b2)));
-        g.bench_function("matmul_256x64x32_ikj_axpy", |bch| bch.iter(|| ikj_axpy(&a2, &b2)));
+    // One training step of the paper's 300-64-32 scorer over 128 input
+    // features at batch 256, layer by layer: forward (`X·W`), weight
+    // gradient (`Xᵀ·δ`) and input gradient (`δ·Wᵀ`, eight-chain dot
+    // recipe). Layer 0's input gradient is listed for reference; training
+    // skips it. `step` is one full `loss_and_grads` plus the Adam update.
+    {
+        use wym_nn::{Adam, AdamConfig, Mlp, MlpConfig, TrainWorkspace};
+        let batch = 256;
+        let mut mlp = Mlp::new(&MlpConfig::scorer(128, 0));
+        let mut g = c.benchmark_group("mlp_step");
+        for (i, layer) in mlp.layers().iter().enumerate() {
+            let x = Matrix::randn(batch, layer.in_dim(), 1.0, &mut rng);
+            let delta = Matrix::randn(batch, layer.out_dim(), 1.0, &mut rng);
+            let wt = layer.w.transpose();
+            let mut out = Matrix::zeros(0, 0);
+            g.bench_function(&format!("layer{i}_fwd"), |bch| {
+                bch.iter(|| layer.forward_into(&x, &mut out))
+            });
+            g.bench_function(&format!("layer{i}_dw"), |bch| {
+                bch.iter(|| x.t_matmul_into(&delta, &mut out))
+            });
+            g.bench_function(&format!("layer{i}_dx"), |bch| {
+                bch.iter(|| delta.matmul_dot_into(&wt, &mut out))
+            });
+        }
+        let x = Matrix::randn(batch, 128, 1.0, &mut rng);
+        let y = Matrix::from_vec(batch, 1, x.iter_rows().map(|r| r[0].tanh()).collect());
+        let mut ws = TrainWorkspace::new(&mlp);
+        let mut adam = Adam::new(AdamConfig::default(), mlp.layers());
+        g.bench_function("step", |bch| {
+            bch.iter(|| {
+                mlp.loss_and_grads(&x, &y, &mut ws);
+                adam.step(mlp.layers_mut(), ws.grads());
+            })
+        });
         g.finish();
     }
 

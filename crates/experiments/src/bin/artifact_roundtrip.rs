@@ -167,11 +167,7 @@ fn main() {
         ("model_fnv", Json::str(format!("{fold:016x}"))),
         ("mismatches", Json::UInt(failures as u64)),
     ]);
-    let bench_path = "results/BENCH_artifact.json";
-    match std::fs::write(bench_path, bench.pretty()) {
-        Ok(()) => println!("\n→ results saved to {bench_path}"),
-        Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
-    }
+    wym_experiments::save_bench("BENCH_artifact", &bench);
     wym_experiments::append_bench_history("artifact_roundtrip", std::slice::from_ref(&bench));
     opts.flush_obs("artifact_roundtrip");
 

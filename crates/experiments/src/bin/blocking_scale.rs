@@ -18,9 +18,13 @@
 
 use std::time::Instant;
 use wym_block::{BlockConfig, SynthConfig, BLOCK_STAGES};
+use wym_experiments::{Args, ArgsError};
 use wym_obs::{Json, Manifest, Sink, Snapshot};
 
 wym_obs::install_tracking_alloc!();
+
+const USAGE: &str = "usage: blocking_scale [--smoke] [--records N] [--threads N] [--seed N] \
+[--subsample N] [--profile-mem] [--trace] [--metrics-out FILE]";
 
 struct Opts {
     records: usize,
@@ -35,6 +39,11 @@ struct Opts {
 
 impl Opts {
     fn from_args() -> Opts {
+        Self::parse(std::env::args().skip(1).collect())
+            .unwrap_or_else(|e| wym_experiments::exit_on_args_error(e, USAGE))
+    }
+
+    fn parse(args: Vec<String>) -> Result<Opts, ArgsError> {
         let mut opts = Opts {
             records: 1_000_000,
             smoke: false,
@@ -45,48 +54,26 @@ impl Opts {
             trace: false,
             metrics_out: None,
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        let num = |args: &[String], i: usize, flag: &str| -> usize {
-            args.get(i)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} needs a number"))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = Args::new(args);
+        while let Some(flag) = args.next_flag() {
+            let flag = flag?;
+            match flag.as_str() {
                 "--smoke" => {
                     opts.smoke = true;
                     opts.records = 20_000;
                     opts.subsample = 2_000;
                 }
-                "--records" => {
-                    i += 1;
-                    opts.records = num(&args, i, "--records");
-                }
-                "--threads" => {
-                    i += 1;
-                    opts.threads = num(&args, i, "--threads");
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = num(&args, i, "--seed") as u64;
-                }
-                "--subsample" => {
-                    i += 1;
-                    opts.subsample = num(&args, i, "--subsample");
-                }
+                "--records" => opts.records = args.parsed(&flag)?,
+                "--threads" => opts.threads = args.parsed(&flag)?,
+                "--seed" => opts.seed = args.parsed(&flag)?,
+                "--subsample" => opts.subsample = args.parsed(&flag)?,
                 "--profile-mem" => opts.profile_mem = true,
                 "--trace" => opts.trace = true,
-                "--metrics-out" => {
-                    i += 1;
-                    opts.metrics_out =
-                        Some(args.get(i).expect("--metrics-out needs a path").clone());
-                }
-                other => panic!("unknown argument: {other}"),
+                "--metrics-out" => opts.metrics_out = Some(args.value(&flag)?),
+                other => return Err(ArgsError::Invalid(format!("unknown argument: {other}"))),
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     fn manifest(&self) -> Manifest {
@@ -262,18 +249,10 @@ fn main() {
 
     let snap = wym_obs::snapshot();
     let row = bench_row(&opts, out.pairs.len(), recall, sampled, synth_s, block_s, &snap);
-    let _ = std::fs::create_dir_all("results");
     // Smoke runs keep their row separate so the committed full-scale
     // BENCH_blocking.json row survives `run_experiments.sh --smoke`.
-    let bench_path = if opts.smoke {
-        "results/BENCH_blocking_smoke.json"
-    } else {
-        "results/BENCH_blocking.json"
-    };
-    match std::fs::write(bench_path, Json::Arr(vec![row.clone()]).pretty()) {
-        Ok(()) => println!("\n→ results saved to {bench_path}"),
-        Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
-    }
+    let bench_name = if opts.smoke { "BENCH_blocking_smoke" } else { "BENCH_blocking" };
+    wym_experiments::save_bench(bench_name, &Json::Arr(vec![row.clone()]));
     wym_experiments::append_bench_history("blocking_scale", std::slice::from_ref(&row));
 
     if opts.trace {

@@ -372,14 +372,7 @@ fn main() {
         &rows,
     );
     save_json("timing", &rows_json);
-    // BENCH_timing.json goes through the obs JSON writer so the per-dataset
-    // spans/metrics sections share one serializer with OBS_*.json exports.
-    let _ = std::fs::create_dir_all("results");
-    let bench_path = "results/BENCH_timing.json";
-    match std::fs::write(bench_path, Json::Arr(bench_json.clone()).pretty()) {
-        Ok(()) => println!("\n→ results saved to {bench_path}"),
-        Err(e) => eprintln!("warning: could not write {bench_path}: {e}"),
-    }
+    wym_experiments::save_bench("BENCH_timing", &Json::Arr(bench_json.clone()));
     wym_experiments::append_bench_history("timing", &bench_json);
     opts.flush_obs("timing");
 }

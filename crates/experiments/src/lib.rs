@@ -85,87 +85,81 @@ impl Default for HarnessOpts {
     }
 }
 
+/// Usage line of the binaries that take [`HarnessOpts`].
+pub const USAGE: &str = "usage: <binary> [--full | --quick] [--cap N] [--seed N] [--threads N] \
+[--dim N] [--datasets A,B,...] [--trace] [--metrics-out FILE] [--flame] [--profile-mem] \
+[--chrome-trace FILE]";
+
+/// Why a command line produced no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgsError {
+    /// `--help` or `-h` was given.
+    Help,
+    /// A flag was unknown, or its value was missing or malformed.
+    Invalid(String),
+}
+
+/// A cursor over command-line arguments, shared by the experiment
+/// binaries' flag parsers.
+pub struct Args {
+    args: Vec<String>,
+    next: usize,
+}
+
+impl Args {
+    /// Wraps the arguments after the program name.
+    pub fn new(args: Vec<String>) -> Self {
+        Self { args, next: 0 }
+    }
+
+    /// The next flag, or `Err(Help)` for `--help` / `-h`.
+    pub fn next_flag(&mut self) -> Option<Result<String, ArgsError>> {
+        let flag = self.args.get(self.next)?.clone();
+        self.next += 1;
+        Some(if flag == "--help" || flag == "-h" { Err(ArgsError::Help) } else { Ok(flag) })
+    }
+
+    /// The value following `flag`.
+    pub fn value(&mut self, flag: &str) -> Result<String, ArgsError> {
+        let value = self.args.get(self.next).cloned();
+        self.next += 1;
+        value.ok_or_else(|| ArgsError::Invalid(format!("{flag} needs a value")))
+    }
+
+    /// The value following `flag`, parsed.
+    pub fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, ArgsError> {
+        let value = self.value(flag)?;
+        value.parse().map_err(|_| ArgsError::Invalid(format!("{flag}: cannot parse {value:?}")))
+    }
+}
+
+/// Ends a run whose command line did not parse: `--help` prints `usage`
+/// to stdout and exits 0; anything else prints the error and `usage` to
+/// stderr and exits 2.
+pub fn exit_on_args_error(err: ArgsError, usage: &str) -> ! {
+    match err {
+        ArgsError::Help => {
+            println!("{usage}");
+            std::process::exit(0)
+        }
+        ArgsError::Invalid(msg) => {
+            eprintln!("error: {msg}\n{usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
 impl HarnessOpts {
     /// Parses `--full`, `--quick`, `--cap N`, `--seed N`, `--threads N`,
     /// `--dim N`, `--datasets A,B,…`, `--trace`, `--metrics-out FILE` from
-    /// `std::env::args`. Enables obs recording when tracing is requested.
+    /// `std::env::args`, exiting through [`exit_on_args_error`] when they do
+    /// not parse. Enables obs recording when tracing is requested.
     pub fn from_args() -> Self {
-        let mut opts = Self::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => opts.full = true,
-                "--trace" => opts.trace = true,
-                "--flame" => opts.flame = true,
-                "--profile-mem" => opts.profile_mem = true,
-                "--metrics-out" => {
-                    i += 1;
-                    opts.metrics_out =
-                        Some(args.get(i).expect("--metrics-out needs a path").clone());
-                }
-                "--quick" => {
-                    opts.quick = true;
-                    opts.cap = 300;
-                }
-                "--cap" => {
-                    i += 1;
-                    opts.cap = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--cap needs a number"));
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed needs a number"));
-                }
-                "--threads" => {
-                    i += 1;
-                    opts.threads = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--threads needs a number"));
-                }
-                "--datasets" => {
-                    i += 1;
-                    let list = args.get(i).expect("--datasets needs a comma-separated list");
-                    opts.datasets =
-                        Some(list.split(',').map(|s| s.trim().to_string()).collect());
-                }
-                "--dim" => {
-                    i += 1;
-                    opts.dim = Some(
-                        args.get(i)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| panic!("--dim needs a number")),
-                    );
-                }
-                "--chrome-trace" => {
-                    i += 1;
-                    opts.chrome_trace =
-                        Some(args.get(i).expect("--chrome-trace needs a path").clone());
-                }
-                "--inject-panic" => {
-                    i += 1;
-                    opts.inject_panic =
-                        Some(args.get(i).expect("--inject-panic needs a span name").clone());
-                }
-                "--inject-stall" => {
-                    i += 1;
-                    let spec = args.get(i).expect("--inject-stall needs SPAN,MS");
-                    let (span, ms) = spec
-                        .split_once(',')
-                        .and_then(|(s, m)| m.trim().parse().ok().map(|ms| (s.to_string(), ms)))
-                        .unwrap_or_else(|| panic!("--inject-stall needs SPAN,MS: {spec}"));
-                    opts.inject_stall = Some((span, ms));
-                }
-                other => panic!("unknown argument: {other}"),
-            }
-            i += 1;
-        }
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        let program = program.rsplit('/').next().unwrap_or_default();
+        let opts = Self::parse(argv.collect())
+            .unwrap_or_else(|e| exit_on_args_error(e, &USAGE.replace("<binary>", program)));
         wym_obs::register_stages(wym_core::pipeline::PIPELINE_STAGES);
         if opts.trace || opts.metrics_out.is_some() || opts.flame {
             wym_obs::set_enabled(true);
@@ -185,6 +179,48 @@ impl HarnessOpts {
             eprintln!("flight: fault injection armed: {ms} ms stall at span \"{span}\"");
         }
         opts
+    }
+
+    /// Parses the flags of [`HarnessOpts::from_args`] without side effects.
+    pub fn parse(args: Vec<String>) -> Result<Self, ArgsError> {
+        let mut opts = Self::default();
+        let mut args = Args::new(args);
+        while let Some(flag) = args.next_flag() {
+            let flag = flag?;
+            match flag.as_str() {
+                "--full" => opts.full = true,
+                "--trace" => opts.trace = true,
+                "--flame" => opts.flame = true,
+                "--profile-mem" => opts.profile_mem = true,
+                "--metrics-out" => opts.metrics_out = Some(args.value(&flag)?),
+                "--quick" => {
+                    opts.quick = true;
+                    opts.cap = 300;
+                }
+                "--cap" => opts.cap = args.parsed(&flag)?,
+                "--seed" => opts.seed = args.parsed(&flag)?,
+                "--threads" => opts.threads = args.parsed(&flag)?,
+                "--datasets" => {
+                    let list = args.value(&flag)?;
+                    opts.datasets = Some(list.split(',').map(|s| s.trim().to_string()).collect());
+                }
+                "--dim" => opts.dim = Some(args.parsed(&flag)?),
+                "--chrome-trace" => opts.chrome_trace = Some(args.value(&flag)?),
+                "--inject-panic" => opts.inject_panic = Some(args.value(&flag)?),
+                "--inject-stall" => {
+                    let spec = args.value(&flag)?;
+                    let stall = spec
+                        .split_once(',')
+                        .and_then(|(s, m)| m.trim().parse().ok().map(|ms| (s.to_string(), ms)));
+                    let stall = stall.ok_or_else(|| {
+                        ArgsError::Invalid(format!("{flag} needs SPAN,MS: {spec}"))
+                    })?;
+                    opts.inject_stall = Some(stall);
+                }
+                other => return Err(ArgsError::Invalid(format!("unknown argument: {other}"))),
+            }
+        }
+        Ok(opts)
     }
 
     /// The run's provenance header: commit, effective config, dataset
@@ -357,11 +393,28 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Writes a JSON result file under `results/` (created on demand) and
-/// reports the path.
+/// reports the path. Runs with a flight fault injection armed write
+/// nothing.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    // Fault-injected runs (--inject-panic / --inject-stall) exist to drill
-    // the flight recorder; their timings are poisoned by construction, so
-    // they must never overwrite committed results artifacts.
+    match serde_json::to_string_pretty(value) {
+        Ok(json) => write_result(name, &json),
+        Err(e) => eprintln!("warning: could not serialize results: {e}"),
+    }
+}
+
+/// Writes a `BENCH_*` row file under `results/` through the obs JSON
+/// writer, so its spans and metrics sections share one serializer with the
+/// `OBS_*.json` exports. Runs with a flight fault injection armed write
+/// nothing.
+pub fn save_bench(name: &str, rows: &wym_obs::Json) {
+    write_result(name, &rows.pretty());
+}
+
+/// Writes `results/<name>.json` — unless a flight fault injection is armed
+/// (`--inject-panic` / `--inject-stall`). Those runs exist to drill the
+/// flight recorder; their timings are poisoned by construction, so they
+/// must never overwrite committed results.
+fn write_result(name: &str, text: &str) {
     if wym_obs::ring::injection_armed() {
         eprintln!("→ fault injection armed; results/{name}.json not written");
         return;
@@ -369,15 +422,9 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let dir = PathBuf::from("results");
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("\n→ results saved to {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize results: {e}"),
+    match std::fs::write(&path, text) {
+        Ok(()) => println!("\n→ results saved to {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 
@@ -515,6 +562,46 @@ mod tests {
         let cfg = opts.wym_config();
         assert_eq!(cfg.embed_dim, 32);
         assert_eq!(cfg.matcher.kinds.len(), 3);
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessOpts, ArgsError> {
+        HarnessOpts::parse(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn flags_parse_into_options() {
+        let opts = parse(&["--quick", "--seed", "3", "--datasets", "S-FZ,T-AB"]).unwrap();
+        assert!(opts.quick);
+        assert_eq!((opts.cap, opts.seed), (300, 3));
+        assert_eq!(opts.datasets, Some(vec!["S-FZ".to_string(), "T-AB".to_string()]));
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        assert_eq!(
+            parse(&["--quick", "--bogus"]).unwrap_err(),
+            ArgsError::Invalid("unknown argument: --bogus".into())
+        );
+    }
+
+    #[test]
+    fn help_is_reported_not_parsed() {
+        assert_eq!(parse(&["--help"]).unwrap_err(), ArgsError::Help);
+        assert_eq!(parse(&["--seed", "1", "-h"]).unwrap_err(), ArgsError::Help);
+    }
+
+    #[test]
+    fn missing_or_malformed_values_are_errors() {
+        assert_eq!(
+            parse(&["--cap"]).unwrap_err(),
+            ArgsError::Invalid("--cap needs a value".into())
+        );
+        assert_eq!(
+            parse(&["--metrics-out"]).unwrap_err(),
+            ArgsError::Invalid("--metrics-out needs a value".into())
+        );
+        assert!(matches!(parse(&["--seed", "x"]), Err(ArgsError::Invalid(_))));
+        assert!(matches!(parse(&["--inject-stall", "fit"]), Err(ArgsError::Invalid(_))));
     }
 
     #[test]

@@ -12,14 +12,19 @@
 //! 3. the eight lane accumulators collapse in the fixed tree
 //!    `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` (`reduce8`).
 //!
-//! The element-wise kernels ([`axpy`], [`gemm_update4`]) perform the same
-//! fused update per output element in every implementation, so they are
-//! trivially bit-identical. Because the recipe — not the instruction set —
-//! defines the result, the portable scalar path and every SIMD path
-//! (AVX2+FMA, AVX-512, NEON) return **bit-identical f32 for every input
-//! length** (including the 1..=15 remainders that straddle one or two
-//! vector registers). That is the determinism contract the similarity
-//! cache and the smoke gate rely on: `WYM_KERNEL=scalar` and
+//! The element-wise [`axpy`] performs the same fused update per output
+//! element in every implementation, so it is trivially bit-identical. The
+//! GEMM micro-kernel ([`gemm_with`]) holds an `MR × NR` output tile in
+//! registers across the whole inner dimension; each output element is one
+//! fused chain over `p = 0..k` in order from +0.0 (`lanes = 1`), or the
+//! [`dot`] recipe above (`lanes = 8`: chain `l` takes the steps
+//! `p ≡ l (mod 8)`, then `reduce8`). Which register holds an element is
+//! unobservable, so the tile shape is free per ISA. Because the recipe —
+//! not the instruction set — defines the result, the portable scalar path
+//! and every SIMD path (AVX2+FMA, AVX-512, NEON) return **bit-identical
+//! f32 for every input length** (including the 1..=15 remainders that
+//! straddle one or two vector registers). That is the determinism contract
+//! the similarity cache and the smoke gate rely on: `WYM_KERNEL=scalar` and
 //! `WYM_KERNEL=auto` runs of the full pipeline must emit identical scores.
 //!
 //! How each ISA keeps the recipe:
@@ -29,15 +34,14 @@
 //! * **AVX-512** must *not* widen the f32 reductions to 16 lanes — that
 //!   would change which elements share an accumulator chain and therefore
 //!   the rounding — so [`dot`], [`cosine`] and [`dist_sq`] reuse the AVX2
-//!   bodies verbatim (every AVX-512 CPU has AVX2). Only the element-wise
-//!   kernels ([`axpy`], [`gemm_update4`]), where each output element is one
-//!   independent fused chain, and the exact-integer int8 kernels widen to
-//!   full `zmm` registers — that is where the pairing pass actually spends
-//!   its bandwidth.
+//!   bodies verbatim (every AVX-512 CPU has AVX2). Only [`axpy`] and the
+//!   GEMM tile, where each `zmm` lane is an independent output element, and
+//!   the exact-integer int8 kernels widen to full `zmm` registers.
 //! * **NEON** (aarch64) splits the same eight lanes across two
 //!   `float32x4_t` accumulators — lanes 0..4 and 4..8 — with `vfmaq_f32`
 //!   providing the single-rounding fused update, then stores both halves
 //!   into the lane array and runs the identical (private) `reduce8` tree.
+//!   The GEMM tile uses the portable body.
 //!
 //! Dispatch is resolved once per process ([`active`]) from CPU feature
 //! detection plus the `WYM_KERNEL` environment variable
@@ -205,14 +209,6 @@ pub fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     cosine_with(active(), a, b)
-}
-
-/// The blocked-GEMM inner update: `o[i]` chains four fused multiply-adds
-/// `o[i] = fma(a[3], b3[i], fma(a[2], b2[i], fma(a[1], b1[i],
-/// fma(a[0], b0[i], o[i]))))` for every element of the output row.
-#[inline]
-pub fn gemm_update4(coef: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32], o: &mut [f32]) {
-    gemm_update4_with(active(), coef, b0, b1, b2, b3, o);
 }
 
 /// Integer dot product of two int8 vectors under the active implementation.
@@ -454,30 +450,85 @@ pub fn cosine_with(imp: KernelImpl, a: &[f32], b: &[f32]) -> f32 {
     (ab / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// [`gemm_update4`] under an explicitly chosen implementation.
-#[inline]
-pub fn gemm_update4_with(
-    imp: KernelImpl,
-    coef: [f32; 4],
-    b0: &[f32],
-    b1: &[f32],
-    b2: &[f32],
-    b3: &[f32],
-    o: &mut [f32],
-) {
-    debug_assert!(
-        b0.len() == o.len() && b1.len() == o.len() && b2.len() == o.len() && b3.len() == o.len()
-    );
-    match imp {
-        KernelImpl::Scalar => scalar::gemm_update4(coef, b0, b1, b2, b3, o),
+/// Layout of one GEMM `c = A · B` for [`gemm_with`]: `A` is `m × k` with
+/// element `(i, p)` at `a[i*a_rs + p*a_cs]`; `B` (`k × n`) and `c`
+/// (`m × n`) are row-major.
+#[derive(Debug, Clone, Copy)]
+pub struct Gemm {
+    /// Rows of `A` and `c`.
+    pub m: usize,
+    /// Columns of `B` and `c`.
+    pub n: usize,
+    /// Inner dimension.
+    pub k: usize,
+    /// Step in `a` between rows of `A`.
+    pub a_rs: usize,
+    /// Step in `a` between columns of `A`.
+    pub a_cs: usize,
+    /// Accumulator chains per element: 1 (one fused chain over `p = 0..k`
+    /// in order from +0.0) or [`LANES`] (exactly [`dot`] of the `A` row
+    /// with the `B` column: chain `l` takes the steps `p ≡ l (mod 8)` in
+    /// order, then `reduce8`), which needs contiguous rows (`a_cs = 1`).
+    pub lanes: usize,
+}
+
+/// One register tile of a [`Gemm`]: `mr × nr` elements, addressed from
+/// the tile's corner with the GEMM's strides.
+#[derive(Debug, Clone, Copy)]
+struct Tile {
+    g: Gemm,
+    mr: usize,
+    nr: usize,
+}
+
+/// Computes `c = A · B` on the register-blocked micro-kernel under an
+/// explicitly chosen implementation; every implementation returns
+/// bit-identical results. `NR`-wide column panels of `B` are the outer
+/// loop, so a `k × NR` panel stays in L1 while every tile of `MR` rows of
+/// `A` streams past it; leftover rows run one at a time.
+///
+/// # Panics
+/// Panics when the host does not support `imp`, `lanes` is not 1 or
+/// [`LANES`] (with `a_cs = 1`), or a buffer is too short for the layout.
+pub fn gemm_with(imp: KernelImpl, g: Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
+    assert!(supported(imp), "{} is not supported on this host", imp.name());
+    assert!(g.lanes == 1 || (g.lanes == LANES && g.a_cs == 1), "lanes must be 1, or 8 with a_cs 1");
+    assert!(b.len() == g.k * g.n && c.len() == g.m * g.n, "gemm buffer sizes");
+    if g.m == 0 || g.k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    assert!((g.m - 1) * g.a_rs + (g.k - 1) * g.a_cs < a.len(), "gemm operand out of bounds");
+    let shapes = match imp {
         #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx2Fma => unsafe { avx2::gemm_update4(coef, b0, b1, b2, b3, o) },
+        KernelImpl::Avx512 => avx512::SHAPES,
         #[cfg(target_arch = "x86_64")]
-        KernelImpl::Avx512 => unsafe { avx512::gemm_update4(coef, b0, b1, b2, b3, o) },
-        #[cfg(target_arch = "aarch64")]
-        KernelImpl::Neon => unsafe { neon::gemm_update4(coef, b0, b1, b2, b3, o) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::gemm_update4(coef, b0, b1, b2, b3, o),
+        KernelImpl::Avx2Fma => avx2::SHAPES,
+        _ => scalar::SHAPES,
+    };
+    let (full_mr, full_nr) = shapes[usize::from(g.lanes == LANES)];
+    for j in (0..g.n).step_by(full_nr) {
+        let mut i = 0;
+        while i < g.m {
+            let mr = if g.m - i >= full_mr { full_mr } else { 1 };
+            let t = Tile { g, mr, nr: full_nr.min(g.n - j) };
+            let (a, b, c) = (&a[i * g.a_rs..], &b[j..], &mut c[i * g.n + j..]);
+            // SAFETY: the host supports `imp`, and the tile's rows
+            // `i..i+mr`, columns `j..j+nr` and steps `0..k` stay inside the
+            // buffer sizes asserted above.
+            match imp {
+                #[cfg(target_arch = "x86_64")]
+                KernelImpl::Avx512 => unsafe {
+                    avx512::gemm_tile(&t, a.as_ptr(), b.as_ptr(), c.as_mut_ptr())
+                },
+                #[cfg(target_arch = "x86_64")]
+                KernelImpl::Avx2Fma => unsafe {
+                    avx2::gemm_tile(&t, a.as_ptr(), b.as_ptr(), c.as_mut_ptr())
+                },
+                _ => scalar::gemm_tile(&t, a, b, c),
+            }
+            i += mr;
+        }
     }
 }
 
@@ -596,21 +647,30 @@ pub mod scalar {
         }
     }
 
-    /// Element-wise four-step fused update (see [`super::gemm_update4`]).
-    pub fn gemm_update4(
-        coef: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        o: &mut [f32],
-    ) {
-        let [a0, a1, a2, a3] = coef;
-        for (i, oi) in o.iter_mut().enumerate() {
-            let mut acc = a0.mul_add(b0[i], *oi);
-            acc = a1.mul_add(b1[i], acc);
-            acc = a2.mul_add(b2[i], acc);
-            *oi = a3.mul_add(b3[i], acc);
+    /// GEMM tile rows with one chain per element.
+    const MR: usize = 4;
+    /// GEMM tile columns.
+    const NR: usize = 16;
+    /// GEMM tile `(rows, columns)` with one chain per element and with eight.
+    pub(super) const SHAPES: [(usize, usize); 2] = [(MR, NR), (1, NR)];
+
+    /// The portable GEMM tile (see [`super::gemm_with`]), also used on NEON.
+    pub(super) fn gemm_tile(t: &super::Tile, a: &[f32], b: &[f32], c: &mut [f32]) {
+        let mut acc = [[[0.0f32; NR]; MR]; LANES];
+        for p in 0..t.g.k {
+            let brow = &b[p * t.g.n..][..t.nr];
+            for (r, acc_r) in acc[p % t.g.lanes].iter_mut().enumerate().take(t.mr) {
+                let av = a[r * t.g.a_rs + p * t.g.a_cs];
+                for (x, &bv) in acc_r.iter_mut().zip(brow) {
+                    *x = av.mul_add(bv, *x);
+                }
+            }
+        }
+        for r in 0..t.mr {
+            for (j, out) in c[r * t.g.n..][..t.nr].iter_mut().enumerate() {
+                let chains: [f32; LANES] = std::array::from_fn(|l| acc[l][r][j]);
+                *out = if t.g.lanes == 1 { chains[0] } else { reduce8(chains) };
+            }
         }
     }
 }
@@ -629,12 +689,13 @@ pub mod scalar {
 pub mod avx2 {
     use super::{reduce8, LANES};
     use std::arch::x86_64::{
-        _mm256_add_epi32, _mm256_andnot_ps, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
-        _mm256_cvtps_epi32, _mm256_extracti128_si256, _mm256_fmadd_ps, _mm256_loadu_ps,
-        _mm256_madd_epi16, _mm256_max_epi32, _mm256_max_ps, _mm256_min_epi32, _mm256_mul_ps,
-        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256,
-        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi16, _mm256_sub_ps,
-        _mm_loadu_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_storel_epi64,
+        __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_andnot_ps, _mm256_castsi256_si128,
+        _mm256_cmpgt_epi32, _mm256_cvtepi8_epi16, _mm256_cvtps_epi32, _mm256_extracti128_si256,
+        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_madd_epi16, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_max_epi32, _mm256_max_ps, _mm256_min_epi32, _mm256_mul_ps,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps,
+        _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi16,
+        _mm256_sub_ps, _mm_loadu_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_storel_epi64,
     };
 
     /// 8-lane dot product.
@@ -880,40 +941,67 @@ pub mod avx2 {
         }
     }
 
-    /// Element-wise four-step fused update.
+    /// GEMM tile `(rows, columns)` with one chain per element and with
+    /// eight: 8 `ymm` sums either way.
+    pub(super) const SHAPES: [(usize, usize); 2] = [(8, LANES), (1, LANES)];
+
+    /// The GEMM tile (see [`super::gemm_with`]): `8 × 8` sums, or the eight
+    /// chains of one row's 8 sums with `lanes = 8`, stay in `ymm` registers
+    /// across the whole inner dimension; columns past `nr` are masked.
     ///
     /// # Safety
-    /// The caller must have verified AVX2+FMA support (via
-    /// [`super::detect_best`]) before calling.
+    /// The caller must have verified AVX2+FMA support, and every element
+    /// the tile addresses must lie inside the buffers behind `a`, `b`, `c`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_update4(
-        coef: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        o: &mut [f32],
-    ) {
-        let [a0, a1, a2, a3] = coef;
-        let n = o.len();
-        let blocks = n / LANES * LANES;
-        let (v0, v1, v2, v3) =
-            (_mm256_set1_ps(a0), _mm256_set1_ps(a1), _mm256_set1_ps(a2), _mm256_set1_ps(a3));
-        let mut i = 0;
-        while i < blocks {
-            let mut vo = _mm256_loadu_ps(o.as_ptr().add(i));
-            vo = _mm256_fmadd_ps(v0, _mm256_loadu_ps(b0.as_ptr().add(i)), vo);
-            vo = _mm256_fmadd_ps(v1, _mm256_loadu_ps(b1.as_ptr().add(i)), vo);
-            vo = _mm256_fmadd_ps(v2, _mm256_loadu_ps(b2.as_ptr().add(i)), vo);
-            vo = _mm256_fmadd_ps(v3, _mm256_loadu_ps(b3.as_ptr().add(i)), vo);
-            _mm256_storeu_ps(o.as_mut_ptr().add(i), vo);
-            i += LANES;
+    pub(super) unsafe fn gemm_tile(t: &super::Tile, a: *const f32, b: *const f32, c: *mut f32) {
+        match (t.g.lanes, t.mr) {
+            (1, 1) => tile::<1, 1>(t, a, b, c),
+            (1, _) => tile::<{ SHAPES[0].0 }, 1>(t, a, b, c),
+            _ => tile::<1, LANES>(t, a, b, c),
         }
-        for l in blocks..n {
-            let mut acc = a0.mul_add(b0[l], o[l]);
-            acc = a1.mul_add(b1[l], acc);
-            acc = a2.mul_add(b2[l], acc);
-            o[l] = a3.mul_add(b3[l], acc);
+    }
+
+    /// [`gemm_tile`] for `M` rows and `L` chains per element.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile<const M: usize, const L: usize>(
+        t: &super::Tile,
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+    ) {
+        let cols = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(t.nr as i32), cols);
+        let mut acc = [[_mm256_setzero_ps(); M]; L];
+        let rows: [usize; M] = std::array::from_fn(|r| r * t.g.a_rs);
+        // A constant step lets the eight chains' loads use fixed offsets.
+        let a_cs = if L == 1 { t.g.a_cs } else { 1 };
+        let (mut ap, mut bp, mut p) = (a, b, 0);
+        while p < t.g.k {
+            // Step `p` feeds chain `p % L`.
+            for acc_l in acc.iter_mut() {
+                if p == t.g.k {
+                    break;
+                }
+                let bv = _mm256_maskload_ps(bp, mask);
+                for (x, &row) in acc_l.iter_mut().zip(&rows) {
+                    *x = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(row)), bv, *x);
+                }
+                // Past the last step these may point past the buffers.
+                (ap, bp, p) = (ap.wrapping_add(a_cs), bp.wrapping_add(t.g.n), p + 1);
+            }
+        }
+        for (r, &first) in acc[0].iter().enumerate() {
+            let sum = if L == 1 {
+                first
+            } else {
+                let x: [__m256; LANES] = std::array::from_fn(|l| acc[l][r]);
+                _mm256_add_ps(
+                    _mm256_add_ps(_mm256_add_ps(x[0], x[1]), _mm256_add_ps(x[2], x[3])),
+                    _mm256_add_ps(_mm256_add_ps(x[4], x[5]), _mm256_add_ps(x[6], x[7])),
+                )
+            };
+            _mm256_maskstore_ps(c.add(r * t.g.n), mask, sum);
         }
     }
 }
@@ -923,9 +1011,9 @@ pub mod avx2 {
 /// AVX-512 (F + BW) implementation of the kernels that can widen to `zmm`
 /// registers **without** touching the 8-lane reduction recipe:
 ///
-/// * the element-wise f32 kernels (`axpy`, `gemm_update4`) — each output
-///   element is its own independent fused-multiply-add chain, so block
-///   width is unobservable and 16-wide blocks are bit-identical;
+/// * `axpy` and the GEMM tile — each `zmm` lane holds its own output
+///   element's fused-multiply-add chains, so block width is unobservable
+///   and 16-wide blocks are bit-identical;
 /// * the int8 kernels — exact integer arithmetic is associative, so any
 ///   accumulation order (here 32 int8 lanes widened to one `zmm` of i16,
 ///   `vpmaddwd` into 16 i32 lanes) gives the identical result.
@@ -937,13 +1025,14 @@ pub mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
     use std::arch::x86_64::{
-        __m512i, _mm256_loadu_si256, _mm512_abs_ps, _mm512_add_epi32, _mm512_castsi512_si256,
-        _mm512_cvtepi32_epi8, _mm512_cvtepi8_epi16, _mm512_cvtps_epi32,
-        _mm512_extracti64x4_epi64, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_loadu_si512,
-        _mm512_madd_epi16, _mm512_maskz_loadu_epi8, _mm512_max_epi32, _mm512_max_ps,
-        _mm512_min_epi32, _mm512_mul_ps, _mm512_reduce_add_epi32, _mm512_set1_epi32,
-        _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512, _mm512_storeu_ps,
-        _mm512_storeu_si512, _mm512_sub_epi16, _mm_storeu_si128,
+        __m512, __m512i, __mmask16, _mm256_loadu_si256, _mm512_abs_ps, _mm512_add_epi32,
+        _mm512_add_ps, _mm512_castsi512_si256, _mm512_cvtepi32_epi8, _mm512_cvtepi8_epi16,
+        _mm512_cvtps_epi32, _mm512_extracti64x4_epi64, _mm512_fmadd_ps, _mm512_loadu_ps,
+        _mm512_loadu_si512, _mm512_madd_epi16, _mm512_mask_storeu_ps, _mm512_maskz_loadu_epi8,
+        _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_ps, _mm512_min_epi32, _mm512_mul_ps,
+        _mm512_reduce_add_epi32, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_setzero_si512, _mm512_storeu_ps, _mm512_storeu_si512, _mm512_sub_epi16,
+        _mm_storeu_si128,
     };
 
     /// f32 elements per `zmm` register.
@@ -974,42 +1063,79 @@ pub mod avx512 {
         }
     }
 
-    /// Element-wise four-step fused update, 16 elements per block. The four
-    /// fused updates chain in the same fixed order per element as the
-    /// scalar path, so the result is bit-identical.
+    /// GEMM tile `(rows, columns)` with one chain per element and with
+    /// eight: 16 or 24 `zmm` sums.
+    pub(super) const SHAPES: [(usize, usize); 2] = [(8, 2 * W), (3, W)];
+
+    /// The GEMM tile (see [`super::gemm_with`]): the tile's sums — eight
+    /// chains per element with `lanes = 8` — stay in `zmm` registers across
+    /// the whole inner dimension; columns past `nr` are masked out of every
+    /// load and store.
     ///
     /// # Safety
-    /// The caller must have verified AVX-512 F support (via
-    /// [`super::supported`]) before calling.
+    /// The caller must have verified AVX-512 F support, and every element
+    /// the tile addresses must lie inside the buffers behind `a`, `b`, `c`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_update4(
-        coef: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        o: &mut [f32],
-    ) {
-        let [a0, a1, a2, a3] = coef;
-        let n = o.len();
-        let blocks = n / W * W;
-        let (v0, v1, v2, v3) =
-            (_mm512_set1_ps(a0), _mm512_set1_ps(a1), _mm512_set1_ps(a2), _mm512_set1_ps(a3));
-        let mut i = 0;
-        while i < blocks {
-            let mut vo = _mm512_loadu_ps(o.as_ptr().add(i));
-            vo = _mm512_fmadd_ps(v0, _mm512_loadu_ps(b0.as_ptr().add(i)), vo);
-            vo = _mm512_fmadd_ps(v1, _mm512_loadu_ps(b1.as_ptr().add(i)), vo);
-            vo = _mm512_fmadd_ps(v2, _mm512_loadu_ps(b2.as_ptr().add(i)), vo);
-            vo = _mm512_fmadd_ps(v3, _mm512_loadu_ps(b3.as_ptr().add(i)), vo);
-            _mm512_storeu_ps(o.as_mut_ptr().add(i), vo);
-            i += W;
+    pub(super) unsafe fn gemm_tile(t: &super::Tile, a: *const f32, b: *const f32, c: *mut f32) {
+        const L: usize = super::LANES;
+        match (t.g.lanes, t.mr) {
+            (1, 1) => tile::<1, 1, 2>(t, a, b, c),
+            (1, _) => tile::<{ SHAPES[0].0 }, 1, 2>(t, a, b, c),
+            (_, 1) => tile::<1, L, 1>(t, a, b, c),
+            _ => tile::<{ SHAPES[1].0 }, L, 1>(t, a, b, c),
         }
-        for l in blocks..n {
-            let mut acc = a0.mul_add(b0[l], o[l]);
-            acc = a1.mul_add(b1[l], acc);
-            acc = a2.mul_add(b2[l], acc);
-            o[l] = a3.mul_add(b3[l], acc);
+    }
+
+    /// [`gemm_tile`] for `M` rows, `L` chains per element and `V` `zmm`
+    /// of columns.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile<const M: usize, const L: usize, const V: usize>(
+        t: &super::Tile,
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+    ) {
+        let mask: [__mmask16; V] =
+            std::array::from_fn(|v| ((1u32 << t.nr.saturating_sub(v * W).min(W)) - 1) as __mmask16);
+        let mut acc = [[[_mm512_setzero_ps(); V]; M]; L];
+        let rows: [usize; M] = std::array::from_fn(|r| r * t.g.a_rs);
+        // A constant step lets the eight chains' loads use fixed offsets.
+        let a_cs = if L == 1 { t.g.a_cs } else { 1 };
+        let (mut ap, mut bp, mut p) = (a, b, 0);
+        while p < t.g.k {
+            // Step `p` feeds chain `p % L`.
+            for acc_l in acc.iter_mut() {
+                if p == t.g.k {
+                    break;
+                }
+                // A fully masked load touches no memory, so a masked-off
+                // vector's address may lie past the end of `b`.
+                let bv: [__m512; V] =
+                    std::array::from_fn(|v| _mm512_maskz_loadu_ps(mask[v], bp.wrapping_add(v * W)));
+                for (x, &row) in acc_l.iter_mut().zip(&rows) {
+                    let av = _mm512_set1_ps(*ap.add(row));
+                    for (x, &bv) in x.iter_mut().zip(&bv) {
+                        *x = _mm512_fmadd_ps(av, bv, *x);
+                    }
+                }
+                // Past the last step these may point past the buffers.
+                (ap, bp, p) = (ap.wrapping_add(a_cs), bp.wrapping_add(t.g.n), p + 1);
+            }
+        }
+        for (r, first) in acc[0].iter().enumerate() {
+            for (v, &m) in mask.iter().enumerate() {
+                let sum = if L == 1 {
+                    first[v]
+                } else {
+                    let x: [__m512; 8] = std::array::from_fn(|l| acc[l][r][v]);
+                    _mm512_add_ps(
+                        _mm512_add_ps(_mm512_add_ps(x[0], x[1]), _mm512_add_ps(x[2], x[3])),
+                        _mm512_add_ps(_mm512_add_ps(x[4], x[5]), _mm512_add_ps(x[6], x[7])),
+                    )
+                };
+                _mm512_mask_storeu_ps(c.add(r * t.g.n).wrapping_add(v * W), m, sum);
+            }
         }
     }
 
@@ -1364,45 +1490,6 @@ pub mod neon {
         }
     }
 
-    /// Element-wise four-step fused update; the four fused updates chain in
-    /// the same fixed order per element as the scalar path.
-    ///
-    /// # Safety
-    /// The caller must have verified NEON support (via [`super::supported`])
-    /// before calling.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn gemm_update4(
-        coef: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-        o: &mut [f32],
-    ) {
-        const W: usize = 4;
-        let [a0, a1, a2, a3] = coef;
-        let n = o.len();
-        let blocks = n / W * W;
-        let (v0, v1, v2, v3) =
-            (vdupq_n_f32(a0), vdupq_n_f32(a1), vdupq_n_f32(a2), vdupq_n_f32(a3));
-        let mut i = 0;
-        while i < blocks {
-            let mut vo = vld1q_f32(o.as_ptr().add(i));
-            vo = vfmaq_f32(vo, v0, vld1q_f32(b0.as_ptr().add(i)));
-            vo = vfmaq_f32(vo, v1, vld1q_f32(b1.as_ptr().add(i)));
-            vo = vfmaq_f32(vo, v2, vld1q_f32(b2.as_ptr().add(i)));
-            vo = vfmaq_f32(vo, v3, vld1q_f32(b3.as_ptr().add(i)));
-            vst1q_f32(o.as_mut_ptr().add(i), vo);
-            i += W;
-        }
-        for l in blocks..n {
-            let mut acc = a0.mul_add(b0[l], o[l]);
-            acc = a1.mul_add(b1[l], acc);
-            acc = a2.mul_add(b2[l], acc);
-            o[l] = a3.mul_add(b3[l], acc);
-        }
-    }
-
     /// Largest absolute value: two 4-lane `vmaxq_f32` accumulators over
     /// `vabsq_f32`-stripped lanes, collapsed by `vmaxvq_f32`. Exactly
     /// associative, bit-identical to the scalar fold for finite inputs.
@@ -1580,28 +1667,6 @@ mod tests {
                         imp.name()
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_update4_bit_identical_across_impls() {
-        for imp in available() {
-            for len in 0..=40usize {
-                let (b0, b1) = vecs(len, 3 ^ len as u64, 1.0);
-                let (b2, b3) = vecs(len, 4 ^ len as u64, 1.0);
-                let (o0, _) = vecs(len, 5 ^ len as u64, 1.0);
-                let coef = [0.5, -1.25, 3.0e-3, 7.5];
-                let mut oa = o0.clone();
-                let mut ob = o0;
-                gemm_update4_with(imp, coef, &b0, &b1, &b2, &b3, &mut oa);
-                gemm_update4_with(KernelImpl::Scalar, coef, &b0, &b1, &b2, &b3, &mut ob);
-                assert_eq!(
-                    oa.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    ob.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{} len {len}",
-                    imp.name()
-                );
             }
         }
     }

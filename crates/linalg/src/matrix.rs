@@ -1,6 +1,15 @@
 //! Row-major dense `f32` matrix.
+//!
+//! The three GEMMs ([`Matrix::matmul`], [`Matrix::t_matmul`],
+//! [`Matrix::matmul_t`]) run on one register-blocked micro-kernel
+//! ([`kernels::gemm_with`]): the outer loop walks `NR`-wide column
+//! panels of the right operand, so a `k × NR` panel stays in L1 while every
+//! `MR`-row tile of the left operand streams past it, and each tile's sums
+//! stay in registers across the whole inner dimension. The `_into` forms
+//! reuse the output's allocation, which keeps a training step free of
+//! allocation.
 
-use crate::kernels;
+use crate::kernels::{self, Gemm, LANES};
 use crate::rng::Rng64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -149,11 +158,27 @@ impl Matrix {
 
     /// Returns a new matrix containing only the rows whose indices are given.
     pub fn select_rows(&self, idx: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), self.cols);
+        let mut out = Matrix::zeros(0, 0);
+        self.select_rows_into(idx, &mut out);
+        out
+    }
+
+    /// Gathers the rows whose indices are given into `out`, reusing its
+    /// allocation.
+    pub fn select_rows_into(&self, idx: &[usize], out: &mut Matrix) {
+        out.resize(idx.len(), self.cols);
         for (k, &i) in idx.iter().enumerate() {
             out.row_mut(k).copy_from_slice(self.row(i));
         }
-        out
+    }
+
+    /// Sets the shape to `rows × cols`, keeping the allocation when it is
+    /// large enough: the flat buffer is truncated or zero-extended, so the
+    /// contents are meant to be overwritten.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Returns a new matrix containing only the columns whose indices are given.
@@ -179,90 +204,86 @@ impl Matrix {
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose into `out`, reusing its allocation.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out[(j, i)] = self[(i, j)];
             }
         }
-        out
     }
 
-    /// Matrix product `self * other`, cache-blocked over the inner dimension.
-    ///
-    /// The inner dimension is processed in `KC`-sized panels so the active
-    /// slice of `other` stays L1/L2-resident while every row of `self`
-    /// streams past it, and four inner-dimension steps are combined per pass
-    /// over the output row (4× fewer output-row traversals, four independent
-    /// multiply chains for the SIMD units). Combining four products before
-    /// adding to the accumulator reorders the float sums relative to the
-    /// naive one-step-at-a-time loop; results match it to ~1e-6 relative
-    /// (both are valid roundings of the same exact sum), which the matmul
-    /// property test pins down.
+    /// Matrix product `self * other`; see [`Matrix::matmul_into`].
     ///
     /// # Panics
     /// Panics on an inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// `out = self * other`, reusing `out`'s allocation. Each element is one
+    /// fused multiply-add chain over the inner dimension in order from +0.0,
+    /// so the result equals the sequential `mul_add` triple loop bit for bit
+    /// on every kernel implementation.
+    ///
+    /// # Panics
+    /// Panics on an inner-dimension mismatch.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let n = other.cols;
-        for kk in (0..self.cols).step_by(KC) {
-            let kb = KC.min(self.cols - kk);
-            for i in 0..self.rows {
-                let a_panel = &self.data[i * self.cols + kk..i * self.cols + kk + kb];
-                let b_panel = &other.data[kk * n..(kk + kb) * n];
-                gemm_panel_row(a_panel, b_panel, out.row_mut(i), n);
-            }
-        }
-        out
+        out.resize(self.rows, other.cols);
+        gemm(1, self.cols, &self.data, self.cols, 1, &other.data, out);
     }
 
     /// `self^T * other` without materializing the transpose.
-    ///
-    /// Same panel kernel as [`Matrix::matmul`], reading `self` column-wise:
-    /// the shared (row) dimension is blocked, and four samples are combined
-    /// per pass over each output row. Same ~1e-6 sum-reordering note.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let (k, n) = (self.cols, other.cols);
-        let mut out = Matrix::zeros(k, n);
-        let mut a_col = vec![0.0f32; KC]; // one A column within the row panel
-        for rr in (0..self.rows).step_by(KC) {
-            let rb = KC.min(self.rows - rr);
-            let b_panel = &other.data[rr * n..(rr + rb) * n];
-            for i in 0..k {
-                for (p, slot) in a_col[..rb].iter_mut().enumerate() {
-                    *slot = self.data[(rr + p) * k + i];
-                }
-                gemm_panel_row(&a_col[..rb], b_panel, out.row_mut(i), n);
-            }
-        }
+        let mut out = Matrix::zeros(0, 0);
+        self.t_matmul_into(other, &mut out);
         out
     }
 
-    /// `self * other^T` without materializing the transpose.
-    ///
-    /// Each output element is one contiguous-row dot product, so this routes
-    /// straight through the dispatched [`kernels::dot`]: the 8-lane
-    /// accumulator chains give the instruction-level parallelism the old
-    /// hand-unrolled 4-column loop bought, and the input row stays
-    /// L1-resident across the `n` passes at this system's shapes.
+    /// `out = self^T * other`, reusing `out`'s allocation: the micro-kernel
+    /// reads `self` with a stride, with the same per-element chain as
+    /// [`Matrix::matmul_into`].
+    pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
+        out.resize(self.cols, other.cols);
+        gemm(1, self.rows, &self.data, 1, self.cols, &other.data, out);
+    }
+
+    /// `self * other^T`; see [`Matrix::matmul_dot_into`].
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let n = other.rows;
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let o_row = out.row_mut(i);
-            for (jj, o) in o_row.iter_mut().enumerate().take(n) {
-                *o = kernels::dot(a_row, other.row(jj));
-            }
-        }
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_dot_into(&other.transpose(), &mut out);
         out
+    }
+
+    /// `out = self * other` where each element is exactly
+    /// [`kernels::dot`] of a row of `self` with a column of `other`: the
+    /// micro-kernel runs eight fused chains per element, chain `l` over the
+    /// inner steps `p ≡ l (mod 8)` in order (the dot's blocks, then its
+    /// tail folded into lanes `0..k % 8`), and collapses them with the
+    /// dot's `reduce8` tree. This is the input-gradient GEMM `δ · Wᵀ` with
+    /// `Wᵀ` passed as `other`, bit-identical to one `dot` per element.
+    ///
+    /// # Panics
+    /// Panics on an inner-dimension mismatch.
+    pub fn matmul_dot_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.rows, "matmul_dot shape mismatch");
+        out.resize(self.rows, other.cols);
+        gemm(LANES, self.cols, &self.data, self.cols, 1, &other.data, out);
     }
 
     /// Element-wise in-place map.
@@ -272,26 +293,11 @@ impl Matrix {
         }
     }
 
-    /// Element-wise map into a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        let mut out = self.clone();
-        out.map_inplace(f);
-        out
-    }
-
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// In-place `self -= other`.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "sub_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
         }
     }
 
@@ -314,16 +320,6 @@ impl Matrix {
         assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
         let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Adds `bias` (length `cols`) to every row, in place.
-    pub fn add_row_broadcast(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "broadcast width mismatch");
-        for i in 0..self.rows {
-            for (v, b) in self.row_mut(i).iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
     }
 
     /// Per-column mean (length `cols`).
@@ -352,17 +348,6 @@ impl Matrix {
         var.into_iter().map(|s| ((s / n) as f32).sqrt()).collect()
     }
 
-    /// Sum over all entries in each column.
-    pub fn col_sum(&self) -> Vec<f32> {
-        let mut sum = vec![0.0f32; self.cols];
-        for row in self.iter_rows() {
-            for (s, &v) in sum.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
-        sum
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| (v * v) as f64).sum::<f64>().sqrt() as f32
@@ -374,50 +359,12 @@ impl Matrix {
     }
 }
 
-/// Panel width (inner-dimension block) for the blocked GEMM kernels.
-///
-/// A `KC x n` panel of the right-hand matrix is the working set of the inner
-/// loops; at the scorer's widest layer (n = 300) that is 128 * 300 * 4 bytes
-/// = 150 KiB, which fits comfortably in L2, and at the common n = 64 it is
-/// 32 KiB, i.e. L1-resident.
-const KC: usize = 128;
-
-/// Accumulate `a_panel * b_panel` into `o_row`: for each `p`,
-/// `o_row += a_panel[p] * b_panel[p*n..][..n]`.
-///
-/// Four panel steps are fused per pass over `o_row` via the dispatched
-/// [`kernels::gemm_update4`] (the output row is traversed `kb/4` times
-/// instead of `kb`, each store folding four fused multiply-adds). Zero
-/// coefficients (common after ReLU) skip their panel row entirely via the
-/// all-zero fast path.
-#[inline]
-fn gemm_panel_row(a_panel: &[f32], b_panel: &[f32], o_row: &mut [f32], n: usize) {
-    let kb = a_panel.len();
-    debug_assert_eq!(b_panel.len(), kb * n);
-    let mut p = 0;
-    while p + 4 <= kb {
-        let coef = [a_panel[p], a_panel[p + 1], a_panel[p + 2], a_panel[p + 3]];
-        if coef == [0.0; 4] {
-            p += 4;
-            continue;
-        }
-        kernels::gemm_update4(
-            coef,
-            &b_panel[p * n..(p + 1) * n],
-            &b_panel[(p + 1) * n..(p + 2) * n],
-            &b_panel[(p + 2) * n..(p + 3) * n],
-            &b_panel[(p + 3) * n..(p + 4) * n],
-            o_row,
-        );
-        p += 4;
-    }
-    while p < kb {
-        let a = a_panel[p];
-        if a != 0.0 {
-            kernels::axpy(a, &b_panel[p * n..(p + 1) * n], o_row);
-        }
-        p += 1;
-    }
+/// `out = A * B` on the active kernel, where `A(i, p) = a[i*a_rs + p*a_cs]`
+/// has `k` columns and `b` is row-major `k × out.cols`.
+fn gemm(lanes: usize, k: usize, a: &[f32], a_rs: usize, a_cs: usize, b: &[f32], out: &mut Matrix) {
+    let (m, n) = out.shape();
+    let g = Gemm { m, n, k, a_rs, a_cs, lanes };
+    kernels::gemm_with(kernels::active(), g, a, b, &mut out.data);
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -498,86 +445,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn t_matmul_matches_explicit_transpose() {
-        let mut rng = Rng64::new(3);
-        let a = Matrix::randn(5, 3, 1.0, &mut rng);
-        let b = Matrix::randn(5, 4, 1.0, &mut rng);
-        let fast = a.t_matmul(&b);
-        let slow = a.transpose().matmul(&b);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn matmul_t_matches_explicit_transpose() {
-        let mut rng = Rng64::new(11);
-        let a = Matrix::randn(4, 6, 1.0, &mut rng);
-        let b = Matrix::randn(3, 6, 1.0, &mut rng);
-        let fast = a.matmul_t(&b);
-        let slow = a.matmul(&b.transpose());
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    /// Reference triple loop with strictly in-order accumulation, the
-    /// ground truth the blocked kernels are measured against.
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    /// The sequential fused chain every `matmul` / `t_matmul` element
+    /// must reproduce bit for bit.
+    fn chain_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
             for j in 0..b.cols() {
-                let mut acc = 0.0f32;
-                for p in 0..a.cols() {
-                    acc += a[(i, p)] * b[(p, j)];
-                }
-                out[(i, j)] = acc;
+                out[(i, j)] = (0..a.cols()).fold(0.0, |acc, p| a[(i, p)].mul_add(b[(p, j)], acc));
             }
         }
         out
     }
 
     #[test]
-    fn blocked_matmul_matches_naive_on_awkward_shapes() {
+    fn gemms_reproduce_their_recipes_on_awkward_shapes() {
         let mut rng = Rng64::new(77);
-        // Shapes straddling the panel width and the 4-step unroll:
-        // odd inner dims, inner dim > KC, single row/col edges.
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (7, 131, 9), (2, 300, 4), (5, 257, 3)] {
+        // Single rows and columns, partial row tiles and column panels,
+        // inner dimensions off the 8-lane blocks.
+        for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (7, 131, 9), (2, 300, 4), (17, 257, 33)] {
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 1.0, &mut rng);
-            let fast = a.matmul(&b);
-            let slow = naive_matmul(&a, &b);
-            for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-                assert!((x - y).abs() < 1e-4, "{x} vs {y} at {m}x{k}x{n}");
+            let chain = chain_matmul(&a, &b);
+            assert_eq!(a.matmul(&b), chain, "matmul {m}x{k}x{n}");
+            assert_eq!(a.transpose().t_matmul(&b), chain, "t_matmul {m}x{k}x{n}");
+            let bt = b.transpose();
+            let dots = a.matmul_t(&bt);
+            for i in 0..m {
+                for j in 0..n {
+                    assert_eq!(dots[(i, j)].to_bits(), kernels::dot(a.row(i), bt.row(j)).to_bits());
+                }
             }
         }
     }
 
     #[test]
-    fn t_matmul_matches_naive_past_panel_width() {
+    fn into_forms_reuse_and_reshape_the_output() {
         let mut rng = Rng64::new(78);
-        // More rows than KC so the panel loop runs more than once.
-        let a = Matrix::randn(260, 6, 1.0, &mut rng);
-        let b = Matrix::randn(260, 5, 1.0, &mut rng);
-        let fast = a.t_matmul(&b);
-        let slow = naive_matmul(&a.transpose(), &b);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn matmul_t_handles_row_counts_off_the_unroll() {
-        let mut rng = Rng64::new(79);
-        // 6 = one 4-wide pass plus a 2-wide scalar tail.
-        let a = Matrix::randn(3, 9, 1.0, &mut rng);
-        let b = Matrix::randn(6, 9, 1.0, &mut rng);
-        let fast = a.matmul_t(&b);
-        let slow = naive_matmul(&a, &b.transpose());
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
-        }
+        let a = Matrix::randn(6, 4, 1.0, &mut rng);
+        let b = Matrix::randn(4, 5, 1.0, &mut rng);
+        let mut out = Matrix::filled(9, 9, f32::NAN);
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b));
+        a.select_rows_into(&[5, 0], &mut out);
+        assert_eq!(out, a.select_rows(&[5, 0]));
+        a.transpose_into(&mut out);
+        assert_eq!(out, a.transpose());
     }
 
     #[test]
@@ -613,14 +525,6 @@ mod tests {
         m.push_row(&[3.0, 4.0]);
         assert_eq!(m.shape(), (2, 2));
         assert_eq!(m.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn broadcast_adds_bias_to_every_row() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_row_broadcast(&[1.0, 2.0, 3.0]);
-        assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

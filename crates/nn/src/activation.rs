@@ -28,27 +28,23 @@ impl Activation {
         }
     }
 
-    /// Derivative with respect to the pre-activation, expressed in terms of
-    /// the pre-activation `z` (not the output).
+    /// Derivative with respect to the pre-activation `z`, expressed in
+    /// terms of the output `a = apply(z)`: ReLU's `z > 0` is `a > 0`, and
+    /// tanh and the sigmoid are functions of their own output, so the
+    /// backward pass needs no copy of the pre-activation.
     #[inline]
-    pub fn derivative(self, z: f32) -> f32 {
+    pub fn derivative_from_output(self, a: f32) -> f32 {
         match self {
             Activation::Identity => 1.0,
             Activation::Relu => {
-                if z > 0.0 {
+                if a > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
-            Activation::Tanh => {
-                let t = z.tanh();
-                1.0 - t * t
-            }
-            Activation::Sigmoid => {
-                let s = sigmoid(z);
-                s * (1.0 - s)
-            }
+            Activation::Tanh => 1.0 - a * a,
+            Activation::Sigmoid => a * (1.0 - a),
         }
     }
 }
@@ -72,15 +68,15 @@ mod tests {
     fn relu_clamps_negatives() {
         assert_eq!(Activation::Relu.apply(-3.0), 0.0);
         assert_eq!(Activation::Relu.apply(2.5), 2.5);
-        assert_eq!(Activation::Relu.derivative(-1.0), 0.0);
-        assert_eq!(Activation::Relu.derivative(1.0), 1.0);
+        assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
+        assert_eq!(Activation::Relu.derivative_from_output(1.0), 1.0);
     }
 
     #[test]
     fn tanh_bounded() {
         assert!(Activation::Tanh.apply(100.0) <= 1.0);
         assert!(Activation::Tanh.apply(-100.0) >= -1.0);
-        assert!((Activation::Tanh.derivative(0.0) - 1.0).abs() < 1e-6);
+        assert!((Activation::Tanh.derivative_from_output(0.0) - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -98,7 +94,7 @@ mod tests {
         {
             for z in [-1.7f32, -0.4, 0.3, 1.9] {
                 let numeric = (act.apply(z + eps) - act.apply(z - eps)) / (2.0 * eps);
-                let analytic = act.derivative(z);
+                let analytic = act.derivative_from_output(act.apply(z));
                 assert!(
                     (numeric - analytic).abs() < 1e-2,
                     "{act:?} at {z}: numeric {numeric} analytic {analytic}"

@@ -15,15 +15,6 @@ pub struct Dense {
     pub activation: Activation,
 }
 
-/// Per-layer cache produced by the forward pass and consumed by backward.
-#[derive(Debug, Clone)]
-pub struct DenseCache {
-    /// Input to the layer (`n × in_dim`).
-    pub input: Matrix,
-    /// Pre-activation `X·W + b` (`n × out_dim`).
-    pub pre: Matrix,
-}
-
 /// Gradients of a dense layer's parameters.
 #[derive(Debug, Clone)]
 pub struct DenseGrad {
@@ -31,6 +22,13 @@ pub struct DenseGrad {
     pub dw: Matrix,
     /// `∂L/∂b`, same length as `b`.
     pub db: Vec<f32>,
+}
+
+impl DenseGrad {
+    /// Zero gradients shaped like `layer`'s parameters.
+    pub fn zeros(layer: &Dense) -> Self {
+        Self { dw: Matrix::zeros(layer.in_dim(), layer.out_dim()), db: vec![0.0; layer.out_dim()] }
+    }
 }
 
 impl Dense {
@@ -50,42 +48,51 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Forward pass; returns the activated output and a cache for backward.
-    pub fn forward(&self, x: &Matrix) -> (Matrix, DenseCache) {
-        let mut pre = x.matmul(&self.w);
-        pre.add_row_broadcast(&self.b);
-        let act = self.activation;
-        let out = pre.map(|z| act.apply(z));
-        (out, DenseCache { input: x.clone(), pre })
-    }
-
-    /// Forward pass without caching (inference).
+    /// Forward pass (inference).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut pre = x.matmul(&self.w);
-        pre.add_row_broadcast(&self.b);
-        let act = self.activation;
-        pre.map_inplace(|z| act.apply(z));
-        pre
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(x, &mut out);
+        out
     }
 
-    /// Backward pass.
-    ///
-    /// `d_out` is `∂L/∂A` (gradient w.r.t. the activated output). Returns the
-    /// parameter gradients and `∂L/∂X` to propagate to the previous layer.
-    pub fn backward(&self, cache: &DenseCache, d_out: &Matrix) -> (DenseGrad, Matrix) {
-        // δ = ∂L/∂Z = ∂L/∂A ⊙ act'(Z)
+    /// Forward pass into `out`, reusing its allocation: `act(x·W + b)`, with
+    /// the bias and the activation applied in one pass over the product.
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
+        x.matmul_into(&self.w, out);
         let act = self.activation;
-        let mut delta = d_out.clone();
-        for i in 0..delta.rows() {
-            let pre_row = cache.pre.row(i).to_vec();
-            for (d, z) in delta.row_mut(i).iter_mut().zip(pre_row) {
-                *d *= act.derivative(z);
+        for row in out.as_mut_slice().chunks_exact_mut(self.out_dim().max(1)) {
+            for (v, b) in row.iter_mut().zip(&self.b) {
+                *v = act.apply(*v + b);
             }
         }
-        let dw = cache.input.t_matmul(&delta);
-        let db = delta.col_sum();
-        let dx = delta.matmul_t(&self.w);
-        (DenseGrad { dw, db }, dx)
+    }
+
+    /// Backward pass for the parameters of a layer that mapped `x` to
+    /// `out`.
+    ///
+    /// On entry `delta` holds `∂L/∂A` (the gradient w.r.t. the activated
+    /// output); it is turned into `δ = ∂L/∂Z = ∂L/∂A ⊙ act'(Z)` in place,
+    /// and `grad` receives `∂L/∂W = xᵀ·δ` and `∂L/∂b`. The input gradient
+    /// `∂L/∂X = δ·Wᵀ` is left to the caller ([`Matrix::matmul_t`]), which
+    /// skips it where nothing reads it.
+    pub fn backward_into(
+        &self,
+        x: &Matrix,
+        out: &Matrix,
+        delta: &mut Matrix,
+        grad: &mut DenseGrad,
+    ) {
+        let act = self.activation;
+        for (d, &a) in delta.as_mut_slice().iter_mut().zip(out.as_slice()) {
+            *d *= act.derivative_from_output(a);
+        }
+        x.t_matmul_into(delta, &mut grad.dw);
+        grad.db.fill(0.0);
+        for row in delta.iter_rows() {
+            for (s, v) in grad.db.iter_mut().zip(row) {
+                *s += v;
+            }
+        }
     }
 }
 
@@ -99,19 +106,19 @@ mod tests {
         layer.w = Matrix::from_rows(&[&[2.0], &[3.0]]);
         layer.b = vec![1.0];
         let x = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 2.0]]);
-        let (out, _) = layer.forward(&x);
+        let out = layer.infer(&x);
         assert_eq!(out.row(0), &[6.0]);
         assert_eq!(out.row(1), &[7.0]);
     }
 
-    #[test]
-    fn infer_matches_forward() {
-        let mut rng = Rng64::new(1);
-        let layer = Dense::new(4, 3, Activation::Relu, &mut rng);
-        let x = Matrix::randn(5, 4, 1.0, &mut rng);
-        let (out, _) = layer.forward(&x);
-        let inf = layer.infer(&x);
-        assert_eq!(out, inf);
+    /// Gradients of `L = sum(A)`: `∂L/∂A = 1` everywhere.
+    fn grads_of_sum(layer: &Dense, x: &Matrix) -> (DenseGrad, Matrix) {
+        let out = layer.infer(x);
+        let mut delta = Matrix::filled(out.rows(), out.cols(), 1.0);
+        let mut grad = DenseGrad::zeros(layer);
+        layer.backward_into(x, &out, &mut delta, &mut grad);
+        let dx = delta.matmul_t(&layer.w);
+        (grad, dx)
     }
 
     #[test]
@@ -122,9 +129,7 @@ mod tests {
         let x = Matrix::randn(4, 3, 1.0, &mut rng);
 
         let loss = |l: &Dense| -> f32 { l.infer(&x).as_slice().iter().sum() };
-        let (out, cache) = layer.forward(&x);
-        let d_out = Matrix::filled(out.rows(), out.cols(), 1.0); // dL/dA = 1
-        let (grad, _) = layer.backward(&cache, &d_out);
+        let (grad, _) = grads_of_sum(&layer, &x);
 
         let eps = 1e-3;
         for i in 0..layer.w.rows() {
@@ -150,9 +155,7 @@ mod tests {
         let mut rng = Rng64::new(6);
         let mut layer = Dense::new(2, 2, Activation::Sigmoid, &mut rng);
         let x = Matrix::randn(3, 2, 1.0, &mut rng);
-        let (out, cache) = layer.forward(&x);
-        let d_out = Matrix::filled(out.rows(), out.cols(), 1.0);
-        let (grad, dx) = layer.backward(&cache, &d_out);
+        let (grad, dx) = grads_of_sum(&layer, &x);
 
         let eps = 1e-3;
         // Bias gradient.

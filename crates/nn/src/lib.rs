@@ -18,7 +18,7 @@ pub mod train;
 
 pub use activation::Activation;
 pub use layer::Dense;
-pub use mlp::{Loss, Mlp, MlpConfig};
+pub use mlp::{Loss, Mlp, MlpConfig, TrainWorkspace};
 pub use optim::{Adam, AdamConfig};
 pub use siamese::{SiameseConfig, SiameseProjection};
 pub use train::{TrainConfig, TrainReport};

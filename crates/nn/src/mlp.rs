@@ -1,7 +1,7 @@
 //! Multi-layer perceptron with manual backpropagation.
 
 use crate::activation::{sigmoid, Activation};
-use crate::layer::{Dense, DenseCache, DenseGrad};
+use crate::layer::{Dense, DenseGrad};
 use serde::{Deserialize, Serialize};
 use wym_linalg::{Matrix, Rng64};
 
@@ -132,8 +132,8 @@ impl Mlp {
 
     /// Forward pass returning raw network outputs (post output-activation).
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut a = x.clone();
-        for layer in &self.layers {
+        let mut a = self.layers[0].infer(x);
+        for layer in &self.layers[1..] {
             a = layer.infer(&a);
         }
         a
@@ -150,61 +150,101 @@ impl Mlp {
         }
     }
 
-    /// Forward with caches, loss evaluation, and full backward pass.
+    /// One training step's forward pass, loss and backward pass on the
+    /// batch `(x, y)`, in `ws`'s reused buffers.
     ///
-    /// Returns `(loss, per-layer gradients)`. Gradients are averaged over the
-    /// batch.
-    pub fn loss_and_grads(&self, x: &Matrix, y: &Matrix) -> (f32, Vec<DenseGrad>) {
+    /// Returns the batch loss; the per-layer gradients, averaged over the
+    /// batch, are left in [`TrainWorkspace::grads`]. Layer 0's input
+    /// gradient is not computed: nothing reads it.
+    ///
+    /// # Panics
+    /// Panics if `x` and `y` disagree on the number of rows, or `ws` was
+    /// built for a different network.
+    pub fn loss_and_grads(&self, x: &Matrix, y: &Matrix, ws: &mut TrainWorkspace) -> f32 {
         assert_eq!(x.rows(), y.rows(), "x / y row mismatch");
+        assert_eq!(ws.grads.len(), self.layers.len(), "workspace built for another network");
         let n = x.rows().max(1) as f32;
 
-        // Forward, caching pre-activations.
-        let mut caches: Vec<DenseCache> = Vec::with_capacity(self.layers.len());
-        let mut a = x.clone();
-        for layer in &self.layers {
-            let (out, cache) = layer.forward(&a);
-            caches.push(cache);
-            a = out;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = ws.acts.split_at_mut(i);
+            layer.forward_into(done.last().unwrap_or(x), &mut rest[0]);
         }
 
         // Loss and ∂L/∂(output activation). For BCE-with-logits we instead
         // compute ∂L/∂Z directly (the fused form) and rely on the output
         // layer being Identity so backward's act' = 1 leaves it untouched.
-        let (loss, d_out) = match self.loss {
+        let last = self.layers.len() - 1;
+        let (a, d) = (&ws.acts[last], &mut ws.deltas[last]);
+        d.resize(a.rows(), a.cols());
+        let pairs = d.as_mut_slice().iter_mut().zip(a.as_slice()).zip(y.as_slice());
+        let loss = match self.loss {
             Loss::Mse => {
-                let mut d = a.clone();
-                d.sub_assign(y);
-                let loss =
-                    d.as_slice().iter().map(|v| (v * v) as f64).sum::<f64>() as f32 / n;
-                d.scale_inplace(2.0 / n);
-                (loss, d)
+                assert_eq!(a.shape(), y.shape(), "target shape mismatch");
+                let scale = 2.0 / n;
+                let mut sq = 0.0f64;
+                for ((d, &v), &t) in pairs {
+                    let diff = v - t;
+                    sq += (diff * diff) as f64;
+                    *d = diff * scale;
+                }
+                sq as f32 / n
             }
             Loss::BceWithLogits => {
                 assert_eq!(a.cols(), 1, "BCE expects a single logit output");
-                let mut d = Matrix::zeros(a.rows(), 1);
                 let mut loss = 0.0f64;
-                for i in 0..a.rows() {
-                    let z = a[(i, 0)];
-                    let t = y[(i, 0)];
+                for ((d, &z), &t) in pairs {
                     // log(1 + e^z) - t*z, stable form.
                     let log1pe = if z > 0.0 { z + (-z).exp().ln_1p() } else { z.exp().ln_1p() };
                     loss += (log1pe - t * z) as f64;
-                    d[(i, 0)] = (sigmoid(z) - t) / n;
+                    *d = (sigmoid(z) - t) / n;
                 }
-                (loss as f32 / n, d)
+                loss as f32 / n
             }
         };
 
-        // Backward.
-        let mut grads: Vec<DenseGrad> = Vec::with_capacity(self.layers.len());
-        let mut d = d_out;
-        for (layer, cache) in self.layers.iter().zip(&caches).rev() {
-            let (g, dx) = layer.backward(cache, &d);
-            grads.push(g);
-            d = dx;
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            let input = if i == 0 { x } else { &ws.acts[i - 1] };
+            layer.backward_into(input, &ws.acts[i], &mut ws.deltas[i], &mut ws.grads[i]);
+            if i > 0 {
+                layer.w.transpose_into(&mut ws.wt[i]);
+                let (below, this) = ws.deltas.split_at_mut(i);
+                this[0].matmul_dot_into(&ws.wt[i], &mut below[i - 1]);
+            }
         }
-        grads.reverse();
-        (loss, grads)
+        loss
+    }
+}
+
+/// The buffers of [`Mlp::loss_and_grads`], sized on the first batch and
+/// reused across batches and epochs, so a training step does not allocate.
+#[derive(Debug, Clone)]
+pub struct TrainWorkspace {
+    /// Activated output of each layer.
+    acts: Vec<Matrix>,
+    /// `∂L/∂A` of each layer's output, turned into `∂L/∂Z` in place.
+    deltas: Vec<Matrix>,
+    /// `Wᵀ` of each layer above the first, the input-gradient operand.
+    wt: Vec<Matrix>,
+    /// Parameter gradients of the last step.
+    grads: Vec<DenseGrad>,
+}
+
+impl TrainWorkspace {
+    /// Empty buffers for `mlp`'s layer stack.
+    pub fn new(mlp: &Mlp) -> Self {
+        let empty = vec![Matrix::zeros(0, 0); mlp.layers.len()];
+        Self {
+            acts: empty.clone(),
+            deltas: empty.clone(),
+            wt: empty,
+            grads: mlp.layers.iter().map(DenseGrad::zeros).collect(),
+        }
+    }
+
+    /// Per-layer parameter gradients of the last step, averaged over its
+    /// batch.
+    pub fn grads(&self) -> &[DenseGrad] {
+        &self.grads
     }
 }
 
@@ -247,7 +287,9 @@ mod tests {
         let mut rng = Rng64::new(17);
         let x = Matrix::randn(5, 3, 1.0, &mut rng);
         let y = Matrix::randn(5, 1, 1.0, &mut rng);
-        let (_, grads) = mlp.loss_and_grads(&x, &y);
+        let mut ws = TrainWorkspace::new(&mlp);
+        mlp.loss_and_grads(&x, &y, &mut ws);
+        let grads = ws.grads().to_vec();
 
         let eps = 1e-3;
         #[allow(clippy::needless_range_loop)]
@@ -256,9 +298,9 @@ mod tests {
                 for j in 0..mlp.layers[li].w.cols() {
                     let orig = mlp.layers[li].w[(i, j)];
                     mlp.layers[li].w[(i, j)] = orig + eps;
-                    let (up, _) = mlp.loss_and_grads(&x, &y);
+                    let up = mlp.loss_and_grads(&x, &y, &mut ws);
                     mlp.layers[li].w[(i, j)] = orig - eps;
-                    let (down, _) = mlp.loss_and_grads(&x, &y);
+                    let down = mlp.loss_and_grads(&x, &y, &mut ws);
                     mlp.layers[li].w[(i, j)] = orig;
                     let numeric = (up - down) / (2.0 * eps);
                     let analytic = grads[li].dw[(i, j)];
@@ -278,16 +320,18 @@ mod tests {
         let mut rng = Rng64::new(23);
         let x = Matrix::randn(6, 2, 1.0, &mut rng);
         let y = Matrix::from_vec(6, 1, vec![1.0, 0.0, 1.0, 0.0, 1.0, 1.0]);
-        let (_, grads) = mlp.loss_and_grads(&x, &y);
+        let mut ws = TrainWorkspace::new(&mlp);
+        mlp.loss_and_grads(&x, &y, &mut ws);
+        let grads = ws.grads().to_vec();
         let eps = 1e-3;
         let li = 0;
         for i in 0..mlp.layers[li].w.rows() {
             for j in 0..mlp.layers[li].w.cols() {
                 let orig = mlp.layers[li].w[(i, j)];
                 mlp.layers[li].w[(i, j)] = orig + eps;
-                let (up, _) = mlp.loss_and_grads(&x, &y);
+                let up = mlp.loss_and_grads(&x, &y, &mut ws);
                 mlp.layers[li].w[(i, j)] = orig - eps;
-                let (down, _) = mlp.loss_and_grads(&x, &y);
+                let down = mlp.loss_and_grads(&x, &y, &mut ws);
                 mlp.layers[li].w[(i, j)] = orig;
                 let numeric = (up - down) / (2.0 * eps);
                 assert!(
@@ -308,12 +352,13 @@ mod tests {
         let cfg = MlpConfig::classifier(vec![2, 16, 1], 7);
         let mut mlp = Mlp::new(&cfg);
         let mut adam = Adam::new(AdamConfig { lr: 0.05, ..AdamConfig::default() }, mlp.layers());
-        let (initial, _) = mlp.loss_and_grads(&x, &y);
+        let mut ws = TrainWorkspace::new(&mlp);
+        let initial = mlp.loss_and_grads(&x, &y, &mut ws);
         for _ in 0..400 {
-            let (_, grads) = mlp.loss_and_grads(&x, &y);
-            adam.step(mlp.layers_mut(), &grads);
+            mlp.loss_and_grads(&x, &y, &mut ws);
+            adam.step(mlp.layers_mut(), ws.grads());
         }
-        let (fin, _) = mlp.loss_and_grads(&x, &y);
+        let fin = mlp.loss_and_grads(&x, &y, &mut ws);
         assert!(fin < initial * 0.2, "loss {initial} -> {fin}");
         let p = mlp.predict(&x);
         assert!(p[0] < 0.5 && p[3] < 0.5 && p[1] > 0.5 && p[2] > 0.5, "{p:?}");

@@ -68,28 +68,25 @@ impl Adam {
         let c = self.config;
         let bc1 = 1.0 - c.beta1.powi(self.t as i32);
         let bc2 = 1.0 - c.beta2.powi(self.t as i32);
+        // Every operation is one IEEE multiply, add, divide or square root,
+        // so the loop vectorizes without changing a bit. A zero `decay`
+        // leaves the gradient of a finite parameter unchanged.
+        let update =
+            |decay: f32, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]| {
+                for (((w, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+                    let g = g + decay * *w;
+                    *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+                    *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+                    let m_hat = *m / bc1;
+                    let v_hat = *v / bc2;
+                    *w -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+                }
+            };
         for ((layer, grad), slot) in layers.iter_mut().zip(grads).zip(&mut self.slots) {
-            // Weights.
-            let n = layer.w.as_slice().len();
-            for k in 0..n {
-                let g = grad.dw.as_slice()[k] + c.weight_decay * layer.w.as_slice()[k];
-                let m = &mut slot.mw.as_mut_slice()[k];
-                *m = c.beta1 * *m + (1.0 - c.beta1) * g;
-                let v = &mut slot.vw.as_mut_slice()[k];
-                *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
-                let m_hat = slot.mw.as_slice()[k] / bc1;
-                let v_hat = slot.vw.as_slice()[k] / bc2;
-                layer.w.as_mut_slice()[k] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
-            }
-            // Biases (no weight decay).
-            for k in 0..layer.b.len() {
-                let g = grad.db[k];
-                slot.mb[k] = c.beta1 * slot.mb[k] + (1.0 - c.beta1) * g;
-                slot.vb[k] = c.beta2 * slot.vb[k] + (1.0 - c.beta2) * g * g;
-                let m_hat = slot.mb[k] / bc1;
-                let v_hat = slot.vb[k] / bc2;
-                layer.b[k] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
-            }
+            let (w, dw) = (layer.w.as_mut_slice(), grad.dw.as_slice());
+            update(c.weight_decay, w, dw, slot.mw.as_mut_slice(), slot.vw.as_mut_slice());
+            // Biases take no weight decay.
+            update(0.0, &mut layer.b, &grad.db, &mut slot.mb, &mut slot.vb);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Mini-batch training loop.
 
-use crate::mlp::Mlp;
+use crate::mlp::{Mlp, TrainWorkspace};
 use crate::optim::{Adam, AdamConfig};
 use serde::{Deserialize, Serialize};
 use wym_linalg::{Matrix, Rng64};
@@ -68,6 +68,8 @@ pub fn fit(mlp: &mut Mlp, x: &Matrix, y: &Matrix, config: &TrainConfig) -> Train
         mlp.layers(),
     );
 
+    let mut ws = TrainWorkspace::new(mlp);
+    let (mut bx, mut by) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     let mut order: Vec<usize> = (0..n).collect();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     for _ in 0..config.epochs {
@@ -76,17 +78,17 @@ pub fn fit(mlp: &mut Mlp, x: &Matrix, y: &Matrix, config: &TrainConfig) -> Train
         let mut batches = 0usize;
         let mut grad_sq = 0.0f64;
         for chunk in order.chunks(bs) {
-            let bx = x.select_rows(chunk);
-            let by = y.select_rows(chunk);
-            let (loss, grads) = mlp.loss_and_grads(&bx, &by);
+            x.select_rows_into(chunk, &mut bx);
+            y.select_rows_into(chunk, &mut by);
+            let loss = mlp.loss_and_grads(&bx, &by, &mut ws);
             if telemetry {
-                for g in &grads {
+                for g in ws.grads() {
                     grad_sq +=
                         g.dw.as_slice().iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
                     grad_sq += g.db.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
                 }
             }
-            adam.step(mlp.layers_mut(), &grads);
+            adam.step(mlp.layers_mut(), ws.grads());
             total += loss as f64;
             batches += 1;
         }

@@ -113,3 +113,58 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over the bit patterns of every weight and bias, layer by layer.
+fn weights_fnv(mlp: &Mlp) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for layer in mlp.layers() {
+        for v in layer.w.as_slice().iter().chain(&layer.b) {
+            for byte in v.to_bits().to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Trains the paper's 300-64-32 scorer on 600 seeded rows of 128 features
+/// for 3 epochs at batch 256 (two full batches and an 88-row tail per
+/// epoch) and returns `(final-loss bits, weights FNV)`.
+fn pinned_training_run(loss: Loss) -> (u32, u64) {
+    let mut rng = Rng64::new(2024);
+    let x = Matrix::randn(600, 128, 1.0, &mut rng);
+    let targets: Vec<f32> = x
+        .iter_rows()
+        .map(|r| match loss {
+            Loss::Mse => (r[0] - 0.5 * r[1] + 0.25 * r[2]).tanh(),
+            Loss::BceWithLogits => f32::from(r[0] + r[3] > 0.0),
+        })
+        .collect();
+    let y = Matrix::from_vec(600, 1, targets);
+    let mut config = MlpConfig::scorer(128, 17);
+    if loss == Loss::BceWithLogits {
+        config.output = Activation::Identity;
+        config.loss = loss;
+    }
+    let mut mlp = Mlp::new(&config);
+    let report = wym::nn::train::fit(
+        &mut mlp,
+        &x,
+        &y,
+        &TrainConfig { epochs: 3, batch_size: 256, seed: 5, ..TrainConfig::default() },
+    );
+    (report.final_loss.to_bits(), weights_fnv(&mlp))
+}
+
+/// The scorer's training trajectory is pinned to the bit: any change to the
+/// GEMM kernels, the training step or the optimizer that alters a single
+/// rounding moves the final loss or the weight hash. The constants were
+/// recorded with the straightforward per-batch implementation and hold for
+/// every `WYM_KERNEL` value.
+#[test]
+fn scorer_training_trajectory_is_pinned() {
+    let (mse_loss, mse_fnv) = pinned_training_run(Loss::Mse);
+    let (bce_loss, bce_fnv) = pinned_training_run(Loss::BceWithLogits);
+    assert_eq!((mse_loss, mse_fnv), (0x3ebf_489b, 0x2b94_b63a_8e35_f1c8), "MSE trajectory moved");
+    assert_eq!((bce_loss, bce_fnv), (0x3f22_b6f5, 0x974d_adb2_499c_ff55), "BCE trajectory moved");
+}

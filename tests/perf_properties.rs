@@ -308,36 +308,54 @@ proptest! {
         }
     }
 
-    /// The GEMM inner update under every supported implementation, same
-    /// contract.
+    /// The GEMM micro-kernel under every supported implementation against
+    /// the recipes that define it, bit for bit: the `matmul` and (strided)
+    /// `t_matmul` layouts against a sequential `mul_add` triple loop from
+    /// +0.0, and the eight-chain `matmul_t` layout against one scalar
+    /// `dot` per element. Rows 1..=9 cover a full tile plus leftover rows,
+    /// columns 1..=33 every panel tail, and the inner dimension 0..=17
+    /// every 8-lane tail. A ReLU-clamped operand with a zeroed row checks
+    /// that zero coefficients need no skip.
     #[test]
-    fn gemm_update4_bit_identical_across_dispatch(
-        rows in prop::collection::vec(
-            (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0),
-            0..65,
-        ),
-        coef in (-2.0f32..2.0, -2.0f32..2.0, -2.0f32..2.0, -2.0f32..2.0),
+    fn gemm_bit_identical_to_recipes(
+        m in 1usize..10,
+        n in 1usize..34,
+        seed in 0u64..1000,
+        zero_row in 0usize..9,
         s in scale(),
     ) {
-        use wym::linalg::kernels::{available, gemm_update4_with, KernelImpl};
-        let col = |f: fn(&(f32, f32, f32, f32, f32)) -> f32| -> Vec<f32> {
-            rows.iter().map(|r| f(r) * s).collect()
-        };
-        let (b0, b1) = (col(|r| r.0), col(|r| r.1));
-        let (b2, b3) = (col(|r| r.2), col(|r| r.3));
-        let o0 = col(|r| r.4);
-        let coef = [coef.0, coef.1, coef.2, coef.3];
-        for imp in available() {
-            let mut o_imp = o0.clone();
-            let mut o_scalar = o0.clone();
-            gemm_update4_with(imp, coef, &b0, &b1, &b2, &b3, &mut o_imp);
-            gemm_update4_with(KernelImpl::Scalar, coef, &b0, &b1, &b2, &b3, &mut o_scalar);
-            for (i, (x, y)) in o_imp.iter().zip(&o_scalar).enumerate() {
-                prop_assert_eq!(
-                    x.to_bits(), y.to_bits(),
-                    "gemm_update4 diverged for {:?} at element {}", imp, i
-                );
+        use wym::linalg::kernels::{available, dot_with, gemm_with, Gemm, KernelImpl, LANES};
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in 0..18 {
+            let mut rng = Rng64::new(seed ^ (k as u64) << 32);
+            let mut a = Matrix::randn(m, k, s, &mut rng);
+            a.map_inplace(|v| v.max(0.0));
+            if zero_row < m {
+                a.row_mut(zero_row).fill(0.0);
             }
+            let b = Matrix::randn(k, n, 1.0, &mut rng);
+            let (at, bt) = (a.transpose(), b.transpose());
+            let mut chain = Vec::with_capacity(m * n);
+            let mut dots = Vec::with_capacity(m * n);
+            for i in 0..m {
+                for j in 0..n {
+                    chain.push((0..k).fold(0.0f32, |acc, p| a[(i, p)].mul_add(b[(p, j)], acc)));
+                    dots.push(dot_with(KernelImpl::Scalar, a.row(i), bt.row(j)));
+                }
+            }
+            for imp in available() {
+                let run = |a: &Matrix, a_rs, a_cs, lanes| {
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_with(imp, Gemm { m, n, k, a_rs, a_cs, lanes }, a.as_slice(), b.as_slice(), &mut c);
+                    bits(&c)
+                };
+                prop_assert_eq!(run(&a, k, 1, 1), bits(&chain), "matmul {:?} k {}", imp, k);
+                prop_assert_eq!(run(&at, 1, m, 1), bits(&chain), "t_matmul {:?} k {}", imp, k);
+                prop_assert_eq!(run(&a, k, 1, LANES), bits(&dots), "matmul_t {:?} k {}", imp, k);
+            }
+            prop_assert_eq!(bits(a.matmul(&b).as_slice()), bits(&chain));
+            prop_assert_eq!(bits(at.t_matmul(&b).as_slice()), bits(&chain));
+            prop_assert_eq!(bits(a.matmul_t(&bt).as_slice()), bits(&dots));
         }
     }
 }
