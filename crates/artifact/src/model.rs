@@ -22,7 +22,9 @@ use wym_core::pipeline::WymModel;
 use wym_core::state::{NamedTensor, WymModelHead, WymModelState};
 use wym_embed::QuantizedTable;
 use wym_linalg::Matrix;
-use wym_obs::{Json, Manifest, ModelSketch};
+use serde::{Serialize, Value};
+use wym_obs::sink::pretty_line;
+use wym_obs::{Manifest, ModelSketch};
 
 /// Section name of the provenance manifest.
 pub const SECTION_MANIFEST: &str = "manifest";
@@ -89,13 +91,12 @@ pub fn save_state_with_sketch(
 ) -> Result<u64, ArtifactError> {
     let _span = wym_obs::span("artifact_save");
     let mut w = ArtifactWriter::new();
-    let manifest_json = Json::obj(vec![("manifest", manifest.to_json())]).pretty();
-    w.add_json(SECTION_MANIFEST, manifest_json.as_bytes());
+    add_manifest(&mut w, manifest);
     let head = serde_json::to_vec(&state.head)
         .map_err(|e| ArtifactError::format(format!("serializing model head: {e}")))?;
     w.add_json(SECTION_HEAD, &head);
     if let Some(sk) = sketch {
-        w.add_json(SECTION_SKETCH, sk.to_json().pretty().as_bytes());
+        w.add_json(SECTION_SKETCH, pretty_line(sk).as_bytes());
     }
     for t in &state.tensors {
         w.add_f32(
@@ -117,24 +118,23 @@ pub fn read_sketch(artifact: &Artifact) -> Result<Option<ModelSketch>, ArtifactE
     if !artifact.sections().iter().any(|s| s.name == SECTION_SKETCH) {
         return Ok(None);
     }
-    let bytes = artifact.json_payload(SECTION_SKETCH)?;
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| ArtifactError::format("sketch section is not UTF-8".to_string()))?;
-    let json = wym_obs::json::parse(text)
-        .map_err(|e| ArtifactError::format(format!("sketch section does not parse: {e}")))?;
-    ModelSketch::from_json(&json)
+    serde_json::from_slice(artifact.json_payload(SECTION_SKETCH)?)
         .map(Some)
         .map_err(|e| ArtifactError::format(format!("sketch section is malformed: {e}")))
 }
 
+/// Appends the provenance manifest section: `{"manifest": {...}}`, laid
+/// out like an `OBS_*.json` header.
+pub fn add_manifest(w: &mut ArtifactWriter, manifest: &Manifest) {
+    let section = Value::object([("manifest", manifest.to_value())]);
+    w.add_json(SECTION_MANIFEST, pretty_line(&section).as_bytes());
+}
+
 /// Reads the provenance manifest out of an opened artifact.
 pub fn read_manifest(artifact: &Artifact) -> Result<Manifest, ArtifactError> {
-    let bytes = artifact.json_payload(SECTION_MANIFEST)?;
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| ArtifactError::format("manifest section is not UTF-8".to_string()))?;
-    let json = wym_obs::json::parse(text)
+    let section: Value = serde_json::from_slice(artifact.json_payload(SECTION_MANIFEST)?)
         .map_err(|e| ArtifactError::format(format!("manifest section does not parse: {e}")))?;
-    Manifest::from_file_json(&json).ok_or_else(|| {
+    Manifest::from_file_json(&section).ok_or_else(|| {
         ArtifactError::format("manifest section has no `manifest` object".to_string())
     })
 }

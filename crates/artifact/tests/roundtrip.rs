@@ -4,7 +4,7 @@
 //! registry's LRU/byte-budget semantics.
 
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 use wym_artifact::{
     add_quantized, content_fnv, inspect, load_model, read_quantized, save_model,

@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
     }
 
     // Kernel-layer dispatch: every implementation the host supports —
-    // scalar always, plus AVX2+FMA / AVX-512 / NEON as the CPU exposes
+    // scalar always, plus AVX2+FMA / AVX-512 as the CPU exposes
     // them — on the same inputs, labeled by dispatch name. All variants
     // return bit-identical results; only the speed differs. The historical
     // acceptance target (best ≥2x scalar on dot/cosine at d=300) reads off

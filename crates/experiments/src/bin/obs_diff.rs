@@ -23,6 +23,7 @@
 //! print as warnings — the diff still runs, but its verdict is only as
 //! comparable as the runs were.
 
+use serde::{Deserialize, Value};
 use std::process::ExitCode;
 use wym_obs::diff::{diff, DiffConfig};
 use wym_obs::manifest::SCHEMA_VERSION;
@@ -42,7 +43,7 @@ struct Loaded {
 fn load(path: &str) -> Result<Loaded, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let json = wym_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let json: Value = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
     let version = Manifest::file_schema_version(&json);
     if version > SCHEMA_VERSION {
         return Err(format!(
@@ -51,7 +52,7 @@ fn load(path: &str) -> Result<Loaded, String> {
         ));
     }
     let manifest = Manifest::from_file_json(&json);
-    let snap = Snapshot::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
+    let snap = Snapshot::from_value(&json).map_err(|e| format!("{path}: {e}"))?;
     Ok(Loaded { snap, manifest })
 }
 

@@ -6,12 +6,12 @@
 //! explanations. Absolute numbers differ on CPU with our substrate; the
 //! breakdown shape is the reproducible claim.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::time::Instant;
 use wym_core::pairing::SimMatrix;
 use wym_core::{discover_units, TokenizedRecord};
-use wym_experiments::{fit_wym, print_table, save_json, HarnessOpts};
-use wym_obs::{Json, Manifest, Snapshot};
+use wym_experiments::{fit_wym, print_table, save_json, spans_and_metrics, HarnessOpts};
+use wym_obs::{Manifest, Snapshot};
 use wym_tokenize::Tokenizer;
 
 wym_obs::install_tracking_alloc!();
@@ -34,9 +34,9 @@ struct Row {
 /// stages come from [`wym_core::pipeline::FitTimings`]; inference-side
 /// stages are absolute seconds over the explained test slice.
 ///
-/// The file is emitted through the `wym-obs` JSON sink: each row keeps all
-/// of the keys below (old consumers keep working) and additionally carries
-/// that dataset's recorded `spans` array and `metrics` object.
+/// Each row keeps all of the keys below (old consumers keep working) and
+/// additionally carries that dataset's recorded `spans` array and
+/// `metrics` object.
 struct BenchRow {
     dataset: String,
     n_train: usize,
@@ -91,43 +91,32 @@ impl BenchRow {
     /// The row as JSON: the run's provenance `manifest` first, then the
     /// backward-compatible flat keys, then the dataset's observability
     /// snapshot as `spans` / `metrics` sections.
-    fn to_json(&self, manifest: &Manifest, snap: &Snapshot) -> Json {
-        let snap_json = snap.to_json();
-        let mut spans = Json::Arr(Vec::new());
-        let mut metrics = Vec::new();
-        if let Json::Obj(sections) = snap_json {
-            for (key, value) in sections {
-                if key == "spans" {
-                    spans = value;
-                } else {
-                    metrics.push((key, value));
-                }
-            }
-        }
-        Json::obj(vec![
-            ("manifest", manifest.to_json()),
-            ("dataset", Json::str(&self.dataset)),
-            ("kernel", Json::str(wym_linalg::kernels::active_name())),
-            ("n_train", Json::UInt(self.n_train as u64)),
-            ("n_explained", Json::UInt(self.n_explained as u64)),
-            ("fit_s", Json::Num(self.fit_s)),
-            ("embed_fit_s", Json::Num(self.embed_fit_s)),
-            ("discover_fit_s", Json::Num(self.discover_fit_s)),
-            ("score_train_s", Json::Num(self.score_train_s)),
-            ("pool_fit_s", Json::Num(self.pool_fit_s)),
-            ("tokenize_s", Json::Num(self.tokenize_s)),
-            ("embed_s", Json::Num(self.embed_s)),
-            ("discover_s", Json::Num(self.discover_s)),
-            ("score_s", Json::Num(self.score_s)),
-            ("score_batch_s", Json::Num(self.score_batch_s)),
-            ("predict_s", Json::Num(self.predict_s)),
-            ("impact_s", Json::Num(self.impact_s)),
-            ("simmatrix_f32_s", Json::Num(self.simmatrix_f32_s)),
-            ("simmatrix_i8_s", Json::Num(self.simmatrix_i8_s)),
-            ("embed_alloc_ref_bytes", Json::UInt(self.embed_alloc_ref_bytes)),
-            ("embed_alloc_fused_bytes", Json::UInt(self.embed_alloc_fused_bytes)),
+    fn to_value(&self, manifest: &Manifest, snap: &Snapshot) -> Value {
+        let (spans, metrics) = spans_and_metrics(snap);
+        Value::object([
+            ("manifest", manifest.to_value()),
+            ("dataset", self.dataset.to_value()),
+            ("kernel", wym_linalg::kernels::active_name().to_value()),
+            ("n_train", self.n_train.to_value()),
+            ("n_explained", self.n_explained.to_value()),
+            ("fit_s", self.fit_s.to_value()),
+            ("embed_fit_s", self.embed_fit_s.to_value()),
+            ("discover_fit_s", self.discover_fit_s.to_value()),
+            ("score_train_s", self.score_train_s.to_value()),
+            ("pool_fit_s", self.pool_fit_s.to_value()),
+            ("tokenize_s", self.tokenize_s.to_value()),
+            ("embed_s", self.embed_s.to_value()),
+            ("discover_s", self.discover_s.to_value()),
+            ("score_s", self.score_s.to_value()),
+            ("score_batch_s", self.score_batch_s.to_value()),
+            ("predict_s", self.predict_s.to_value()),
+            ("impact_s", self.impact_s.to_value()),
+            ("simmatrix_f32_s", self.simmatrix_f32_s.to_value()),
+            ("simmatrix_i8_s", self.simmatrix_i8_s.to_value()),
+            ("embed_alloc_ref_bytes", self.embed_alloc_ref_bytes.to_value()),
+            ("embed_alloc_fused_bytes", self.embed_alloc_fused_bytes.to_value()),
             ("spans", spans),
-            ("metrics", Json::Obj(metrics)),
+            ("metrics", metrics),
         ])
     }
 }
@@ -140,7 +129,7 @@ fn main() {
     wym_obs::set_enabled(true);
     let tokenizer = Tokenizer::default();
     let mut rows_json = Vec::new();
-    let mut bench_json: Vec<Json> = Vec::new();
+    let mut bench_json: Vec<Value> = Vec::new();
     let mut rows = Vec::new();
     for dataset in opts.datasets() {
         eprintln!("[timing] {}", dataset.name);
@@ -331,7 +320,7 @@ fn main() {
             embed_alloc_ref_bytes,
             embed_alloc_fused_bytes,
         };
-        bench_json.push(bench_row.to_json(&opts.manifest("timing"), &wym_obs::snapshot()));
+        bench_json.push(bench_row.to_value(&opts.manifest("timing"), &wym_obs::snapshot()));
         let row = Row {
             dataset: dataset.name.clone(),
             train_records_per_s: train_tp,
@@ -372,7 +361,7 @@ fn main() {
         &rows,
     );
     save_json("timing", &rows_json);
-    wym_experiments::save_bench("BENCH_timing", &Json::Arr(bench_json.clone()));
+    save_json("BENCH_timing", &bench_json);
     wym_experiments::append_bench_history("timing", &bench_json);
     opts.flush_obs("timing");
 }

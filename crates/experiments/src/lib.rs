@@ -11,7 +11,7 @@
 //! cap and restores the paper's 40 epochs; `--quick` shrinks everything for
 //! smoke runs.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::path::PathBuf;
 use std::time::Instant;
 use wym_core::{WymConfig, WymModel};
@@ -19,6 +19,7 @@ use wym_data::{magellan, split::paper_split, EmDataset, RecordPair, SplitIndices
 use wym_embed::EmbedderKind;
 use wym_ml::ClassifierKind;
 use wym_nn::TrainConfig;
+use wym_obs::sink::JsonFileSink;
 
 /// Parsed command-line options shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -275,7 +276,7 @@ impl HarnessOpts {
             .metrics_out
             .clone()
             .unwrap_or_else(|| format!("results/OBS_{name}.json"));
-        let mut sink = wym_obs::JsonFileSink::new(&path).with_manifest(self.manifest(name));
+        let mut sink = JsonFileSink::new(&path).with_manifest(self.manifest(name));
         match sink.emit(&snap) {
             Ok(()) => eprintln!("→ metrics saved to {path}"),
             Err(e) => eprintln!("warning: cannot write metrics to {path}: {e}"),
@@ -392,22 +393,26 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes a JSON result file under `results/` (created on demand) and
-/// reports the path. Runs with a flight fault injection armed write
-/// nothing.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
+/// Writes a JSON result file (`results/<name>.json`, pretty-printed)
+/// under `results/` (created on demand) and reports the path. Every
+/// results file goes through here — ad-hoc rows as a [`Value`] tree. Runs
+/// with a flight fault injection armed write nothing.
+pub fn save_json<T: Serialize + ?Sized>(name: &str, value: &T) {
     match serde_json::to_string_pretty(value) {
         Ok(json) => write_result(name, &json),
         Err(e) => eprintln!("warning: could not serialize results: {e}"),
     }
 }
 
-/// Writes a `BENCH_*` row file under `results/` through the obs JSON
-/// writer, so its spans and metrics sections share one serializer with the
-/// `OBS_*.json` exports. Runs with a flight fault injection armed write
-/// nothing.
-pub fn save_bench(name: &str, rows: &wym_obs::Json) {
-    write_result(name, &rows.pretty());
+/// A snapshot split the way `BENCH_*` rows carry it: the `spans` array,
+/// and every other section gathered into one `metrics` object.
+pub fn spans_and_metrics(snap: &wym_obs::Snapshot) -> (Value, Value) {
+    let Value::Object(sections) = snap.to_value() else {
+        unreachable!("a snapshot serializes to an object")
+    };
+    let (spans, metrics): (Vec<_>, Vec<_>) = sections.into_iter().partition(|(k, _)| k == "spans");
+    let spans = spans.into_iter().next().map_or(Value::Array(Vec::new()), |(_, v)| v);
+    (spans, Value::Object(metrics))
 }
 
 /// Writes `results/<name>.json` — unless a flight fault injection is armed
@@ -449,7 +454,7 @@ pub const HISTORY_MAX_BYTES: u64 = 8 * 1024 * 1024;
 /// history is telemetry, not a gate. Runs with a flight fault injection
 /// armed are skipped entirely — an injected stall would poison the timing
 /// ledger `bench_diff` reads its thresholds from.
-pub fn append_bench_history(source: &str, rows: &[wym_obs::Json]) {
+pub fn append_bench_history<T: Serialize>(source: &str, rows: &[T]) {
     use std::io::Write;
     if wym_obs::ring::injection_armed() {
         eprintln!("→ fault injection armed; BENCH history append skipped");
@@ -460,11 +465,8 @@ pub fn append_bench_history(source: &str, rows: &[wym_obs::Json]) {
     let path = dir.join("BENCH_history.jsonl");
     let mut out = String::new();
     for row in rows {
-        let line = wym_obs::Json::obj(vec![
-            ("source", wym_obs::Json::str(source)),
-            ("row", row.clone()),
-        ]);
-        out.push_str(&line.render());
+        let line = Value::object([("source", source.to_value()), ("row", row.to_value())]);
+        out.push_str(&serde_json::to_string(&line).expect("the JSON printer cannot fail"));
         out.push('\n');
     }
     let appended = std::fs::OpenOptions::new()

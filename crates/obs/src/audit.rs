@@ -27,8 +27,9 @@
 //! a [`suppress`] scope so a decision never double-logs. The surviving
 //! record is the richer one (kind `explain`, with impacts).
 
-use crate::json::Json;
 use crate::manifest::fnv1a;
+use crate::recorder::{field, opt_field};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::path::Path;
@@ -46,7 +47,7 @@ pub const TOP_K_IMPACTS: usize = 3;
 /// Measured cost of one decision. Wall time and allocation are inherently
 /// run-dependent, so cost is only recorded under
 /// [`AuditOptions::include_cost`] — never in bit-identity-checked logs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecisionCost {
     /// Wall-clock nanoseconds spent producing the decision.
     pub wall_ns: u64,
@@ -86,47 +87,63 @@ pub struct DecisionRecord {
     pub cost: Option<DecisionCost>,
 }
 
-impl DecisionRecord {
-    /// The record as one JSONL object. `f32` fields widen to `f64`
-    /// (exactly) and render shortest-exact, so serialization is
-    /// bit-faithful and deterministic.
-    pub fn to_json(&self) -> Json {
+/// The record as one JSONL object. `f32` fields widen to `f64` (exactly)
+/// and render shortest-exact, so serialization is bit-faithful and
+/// deterministic; `trace` and `model_fnv` are 16-digit hex strings.
+impl Serialize for DecisionRecord {
+    fn to_value(&self) -> Value {
+        let hex = |x: u64| Value::Str(format!("{x:016x}"));
+        let impacts = self.top_impacts.iter().map(|(attr, impact)| {
+            Value::object([("attribute", attr.to_value()), ("impact", impact.to_value())])
+        });
         let mut fields = vec![
-            ("seq", Json::UInt(self.seq)),
-            ("trace", Json::str(format!("{:016x}", self.trace))),
-            ("record_id", Json::UInt(self.record_id)),
-            ("kind", Json::str(&self.kind)),
-            ("verdict", Json::Bool(self.verdict)),
-            ("score", Json::Num(self.score as f64)),
-            ("margin", Json::Num(self.margin as f64)),
-            ("units", Json::UInt(self.units as u64)),
-            ("paired_units", Json::UInt(self.paired_units as u64)),
-            (
-                "top_impacts",
-                Json::Arr(
-                    self.top_impacts
-                        .iter()
-                        .map(|(attr, impact)| {
-                            Json::obj(vec![
-                                ("attribute", Json::str(attr)),
-                                ("impact", Json::Num(*impact as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("model_fnv", Json::str(format!("{:016x}", self.model_fnv))),
+            ("seq", self.seq.to_value()),
+            ("trace", hex(self.trace)),
+            ("record_id", self.record_id.to_value()),
+            ("kind", self.kind.to_value()),
+            ("verdict", self.verdict.to_value()),
+            ("score", self.score.to_value()),
+            ("margin", self.margin.to_value()),
+            ("units", self.units.to_value()),
+            ("paired_units", self.paired_units.to_value()),
+            ("top_impacts", Value::Array(impacts.collect())),
+            ("model_fnv", hex(self.model_fnv)),
         ];
         if let Some(cost) = &self.cost {
-            fields.push((
-                "cost",
-                Json::obj(vec![
-                    ("wall_ns", Json::UInt(cost.wall_ns)),
-                    ("alloc_bytes", Json::UInt(cost.alloc_bytes)),
-                ]),
-            ));
+            fields.push(("cost", cost.to_value()));
         }
-        Json::obj(fields)
+        Value::object(fields)
+    }
+}
+
+/// Reads one JSONL line back (what `wym obs report` consumes).
+impl Deserialize for DecisionRecord {
+    fn from_value(v: &Value) -> Result<DecisionRecord, Error> {
+        let hex = |name: &str| {
+            let text: String = field(v, name)?;
+            u64::from_str_radix(&text, 16).map_err(|e| Error::custom(format!("{name}: {e}")))
+        };
+        let top_impacts = v
+            .field("top_impacts")
+            .as_array()
+            .map_err(|e| e.in_field("top_impacts"))?
+            .iter()
+            .map(|i| Ok((field(i, "attribute")?, field(i, "impact")?)))
+            .collect::<Result<_, Error>>()?;
+        Ok(DecisionRecord {
+            seq: field(v, "seq")?,
+            trace: hex("trace")?,
+            record_id: field(v, "record_id")?,
+            kind: field(v, "kind")?,
+            verdict: field(v, "verdict")?,
+            score: field(v, "score")?,
+            margin: field(v, "margin")?,
+            units: field(v, "units")?,
+            paired_units: field(v, "paired_units")?,
+            top_impacts,
+            model_fnv: hex("model_fnv")?,
+            cost: opt_field(v, "cost")?,
+        })
     }
 }
 
@@ -285,7 +302,7 @@ impl AuditLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for record in self.sorted() {
-            out.push_str(&record.to_json().render());
+            out.push_str(&serde_json::to_string(&record).expect("the JSON printer cannot fail"));
             out.push('\n');
         }
         out
@@ -465,11 +482,12 @@ mod tests {
         assert_eq!(rec.margin, 0.75f32 - 0.5f32);
         assert_eq!(rec.trace, trace_id(0xabcd, 7, 42));
         assert_eq!(rec.model_fnv, 0xabcd);
-        let line = rec.to_json().render();
+        let line = serde_json::to_string(rec).unwrap();
         for needle in ["\"seq\":7", "\"kind\":\"explain\"", "\"attribute\":\"title\""] {
             assert!(line.contains(needle), "missing {needle} in {line}");
         }
         assert!(!line.contains("cost"), "cost must be absent unless opted in");
+        assert_eq!(&serde_json::from_str::<DecisionRecord>(&line).unwrap(), rec);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   evicted) rides in the top-level `metadata` object.
 //!
 //! [`summarize`] is the reader side: `wym obs flight <dump>` parses a
-//! written trace back with [`crate::json::parse`] and prints the tail
+//! written trace back with `serde_json` and prints the tail
 //! summary, so a dump is useful even without a trace viewer at hand.
 //!
 //! Dumps carry wall-clock timestamps and are inherently nondeterministic —
@@ -22,8 +22,9 @@
 //!
 //! [Trace Event spec]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::json::{self, Json};
 use crate::ring::{EventKind, FlightDump};
+use crate::sink::pretty_line;
+use serde::{Serialize, Value};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -43,80 +44,66 @@ fn phase(kind: EventKind) -> &'static str {
 
 /// The dump as a Chrome trace-event JSON object
 /// (`{"traceEvents": [...], "metadata": {...}}`).
-pub fn to_chrome_json(dump: &FlightDump) -> Json {
+pub fn to_chrome_json(dump: &FlightDump) -> Value {
+    let us = |ts_ns: u64| Value::F64(ts_ns as f64 / 1000.0);
     let mut events = Vec::new();
     let mut thread_meta = Vec::new();
     for t in &dump.threads {
-        events.push(Json::obj(vec![
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::UInt(1)),
-            ("tid", Json::UInt(t.tid)),
-            ("args", Json::obj(vec![(
-                "name",
-                Json::str(format!("lane {} [{}]", t.tid, t.label)),
-            )])),
+        events.push(Value::object([
+            ("name", "thread_name".to_value()),
+            ("ph", "M".to_value()),
+            ("pid", 1u64.to_value()),
+            ("tid", t.tid.to_value()),
+            ("args", Value::object([("name", format!("lane {} [{}]", t.tid, t.label).to_value())])),
         ]));
         for e in &t.events {
             let mut fields = vec![
-                ("name", Json::str(&e.name)),
-                ("ph", Json::str(phase(e.kind))),
-                ("pid", Json::UInt(1)),
-                ("tid", Json::UInt(t.tid)),
-                ("ts", Json::Num(e.ts_ns as f64 / 1000.0)),
+                ("name", e.name.to_value()),
+                ("ph", phase(e.kind).to_value()),
+                ("pid", 1u64.to_value()),
+                ("tid", t.tid.to_value()),
+                ("ts", us(e.ts_ns)),
             ];
+            let arg = |key| ("args", Value::object([(key, e.value.to_value())]));
             match e.kind {
                 EventKind::Enter => {}
-                EventKind::Exit => {
-                    fields.push(("args", Json::obj(vec![("dur_ns", Json::Num(e.value))])));
-                }
-                EventKind::Counter => {
-                    fields.push(("args", Json::obj(vec![("value", Json::Num(e.value))])));
-                }
+                EventKind::Exit => fields.push(arg("dur_ns")),
+                EventKind::Counter => fields.push(arg("value")),
                 EventKind::Decision => {
-                    fields.push(("s", Json::str("t")));
-                    fields.push(("args", Json::obj(vec![("score", Json::Num(e.value))])));
+                    fields.push(("s", "t".to_value()));
+                    fields.push(arg("score"));
                 }
-                EventKind::Mark => {
-                    fields.push(("s", Json::str("t")));
-                }
+                EventKind::Mark => fields.push(("s", "t".to_value())),
             }
-            events.push(Json::obj(fields));
+            events.push(Value::object(fields));
         }
-        thread_meta.push(Json::obj(vec![
-            ("tid", Json::UInt(t.tid)),
-            ("label", Json::str(&t.label)),
-            ("events", Json::UInt(t.events.len() as u64)),
-            ("dropped", Json::UInt(t.dropped)),
-            (
-                "open",
-                Json::Arr(
-                    t.open
-                        .iter()
-                        .map(|o| {
-                            Json::obj(vec![
-                                ("name", Json::str(&o.name)),
-                                ("ts", Json::Num(o.ts_ns as f64 / 1000.0)),
-                                ("open_ms", Json::UInt(o.open_ms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+        let open = t.open.iter().map(|o| {
+            Value::object([
+                ("name", o.name.to_value()),
+                ("ts", us(o.ts_ns)),
+                ("open_ms", o.open_ms.to_value()),
+            ])
+        });
+        thread_meta.push(Value::object([
+            ("tid", t.tid.to_value()),
+            ("label", t.label.to_value()),
+            ("events", t.events.len().to_value()),
+            ("dropped", t.dropped.to_value()),
+            ("open", Value::Array(open.collect())),
         ]));
     }
-    Json::obj(vec![
-        ("displayTimeUnit", Json::str("ms")),
-        ("traceEvents", Json::Arr(events)),
+    Value::object([
+        ("displayTimeUnit", "ms".to_value()),
+        ("traceEvents", Value::Array(events)),
         (
             "metadata",
-            Json::obj(vec![
-                ("tool", Json::str("wym-obs flight recorder")),
-                ("reason", Json::str(&dump.reason)),
-                ("captured_unix_ms", Json::UInt(dump.captured_unix_ms)),
-                ("captured_ts_us", Json::Num(dump.captured_ts_ns as f64 / 1000.0)),
-                ("ring_capacity", Json::UInt(dump.capacity as u64)),
-                ("threads", Json::Arr(thread_meta)),
+            Value::object([
+                ("tool", "wym-obs flight recorder".to_value()),
+                ("reason", dump.reason.to_value()),
+                ("captured_unix_ms", dump.captured_unix_ms.to_value()),
+                ("captured_ts_us", us(dump.captured_ts_ns)),
+                ("ring_capacity", dump.capacity.to_value()),
+                ("threads", Value::Array(thread_meta)),
             ]),
         ),
     ])
@@ -221,88 +208,51 @@ pub fn write_dump_files(
 /// number of trace events written (including lane-name metadata events).
 pub fn write_chrome_file(path: &Path, dump: &FlightDump) -> std::io::Result<usize> {
     let trace = to_chrome_json(dump);
-    let n = match &trace {
-        Json::Obj(fields) => fields
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map_or(0, |(_, v)| match v {
-                Json::Arr(events) => events.len(),
-                _ => 0,
-            }),
-        _ => 0,
-    };
+    let n = trace.field("traceEvents").as_array().map_or(0, <[Value]>::len);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::File::create(path)?.write_all(trace.pretty().as_bytes())?;
+    std::fs::File::create(path)?.write_all(pretty_line(&trace).as_bytes())?;
     Ok(n)
 }
 
 // ── Summarization (the `wym obs flight` reader) ─────────────────────────
 
-fn obj_get<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
-    match v {
-        Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_str(v: &Json) -> Option<&str> {
-    match v {
-        Json::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Json) -> Option<f64> {
-    match v {
-        Json::Num(n) => Some(*n),
-        Json::Int(n) => Some(*n as f64),
-        Json::UInt(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-fn as_u64(v: &Json) -> Option<u64> {
-    match v {
-        Json::UInt(n) => Some(*n),
-        Json::Int(n) => u64::try_from(*n).ok(),
-        Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
 /// Summarizes a parsed Chrome trace written by this module: dump
 /// provenance, last events per lane, spans open at capture, and the
-/// decision tail. Errors describe what made the input unreadable.
-pub fn summarize(trace: &Json) -> Result<String, String> {
-    let events = match obj_get(trace, "traceEvents") {
-        Some(Json::Arr(events)) => events,
-        _ => return Err("no traceEvents array — not a Chrome trace-event file".to_string()),
+/// decision tail. Errors describe what made the input unreadable; a field
+/// that is absent or of the wrong type (a fractional `tid`, say) is
+/// skipped or read as its default, never coerced.
+pub fn summarize(trace: &Value) -> Result<String, String> {
+    let Ok(events) = trace.field("traceEvents").as_array() else {
+        return Err("no traceEvents array — not a Chrome trace-event file".to_string());
     };
-    let meta = obj_get(trace, "metadata");
+    let meta = trace.field("metadata");
+    fn u64_of(v: &Value, key: &str) -> Option<u64> {
+        v.field(key).as_u64().ok()
+    }
+    fn str_of<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+        v.field(key).as_str().ok()
+    }
     let mut out = String::new();
     out.push_str("── flight dump summary ───────────────────────────────\n");
-    if let Some(meta) = meta {
-        if let Some(reason) = obj_get(meta, "reason").and_then(as_str) {
-            out.push_str(&format!("reason:    {reason}\n"));
-        }
-        if let Some(ms) = obj_get(meta, "captured_unix_ms").and_then(as_u64) {
-            out.push_str(&format!("captured:  unix {ms} ms\n"));
-        }
-        if let Some(cap) = obj_get(meta, "ring_capacity").and_then(as_u64) {
-            out.push_str(&format!("capacity:  {cap} events per lane\n"));
-        }
+    if let Some(reason) = str_of(meta, "reason") {
+        out.push_str(&format!("reason:    {reason}\n"));
+    }
+    if let Some(ms) = u64_of(meta, "captured_unix_ms") {
+        out.push_str(&format!("captured:  unix {ms} ms\n"));
+    }
+    if let Some(cap) = u64_of(meta, "ring_capacity") {
+        out.push_str(&format!("capacity:  {cap} events per lane\n"));
     }
     out.push_str(&format!("trace:     {} events\n", events.len()));
 
     // Lane labels from M metadata events; real events grouped per lane.
-    let mut lanes: Vec<(u64, String, Vec<&Json>)> = Vec::new();
+    let mut lanes: Vec<(u64, String, Vec<&Value>)> = Vec::new();
     for e in events {
-        let tid = obj_get(e, "tid").and_then(as_u64).unwrap_or(0);
-        let ph = obj_get(e, "ph").and_then(as_str).unwrap_or("");
+        let tid = u64_of(e, "tid").unwrap_or(0);
         let lane = match lanes.iter_mut().find(|(t, _, _)| *t == tid) {
             Some(lane) => lane,
             None => {
@@ -310,10 +260,8 @@ pub fn summarize(trace: &Json) -> Result<String, String> {
                 lanes.last_mut().expect("just pushed")
             }
         };
-        if ph == "M" {
-            if let Some(name) =
-                obj_get(e, "args").and_then(|a| obj_get(a, "name")).and_then(as_str)
-            {
+        if str_of(e, "ph") == Some("M") {
+            if let Some(name) = str_of(e.field("args"), "name") {
                 lane.1 = name.to_string();
             }
         } else {
@@ -322,39 +270,29 @@ pub fn summarize(trace: &Json) -> Result<String, String> {
     }
     lanes.sort_by_key(|(tid, _, _)| *tid);
 
+    let threads = meta.field("threads").as_array().unwrap_or_default();
     for (tid, label, lane_events) in &lanes {
         out.push_str(&format!("\n{label} — {} events\n", lane_events.len()));
-        if let Some(meta) = meta {
-            let lane_meta = match obj_get(meta, "threads") {
-                Some(Json::Arr(threads)) => threads
-                    .iter()
-                    .find(|t| obj_get(t, "tid").and_then(as_u64) == Some(*tid)),
-                _ => None,
-            };
-            if let Some(lm) = lane_meta {
-                if let Some(dropped) = obj_get(lm, "dropped").and_then(as_u64) {
-                    if dropped > 0 {
-                        out.push_str(&format!("  dropped:  {dropped} evicted events\n"));
-                    }
-                }
-                if let Some(Json::Arr(open)) = obj_get(lm, "open") {
-                    if !open.is_empty() {
-                        out.push_str("  open at capture:\n");
-                        for o in open {
-                            let name = obj_get(o, "name").and_then(as_str).unwrap_or("?");
-                            let open_ms = obj_get(o, "open_ms").and_then(as_u64).unwrap_or(0);
-                            out.push_str(&format!("    {name}  open {open_ms} ms\n"));
-                        }
-                    }
+        if let Some(lm) = threads.iter().find(|t| u64_of(t, "tid") == Some(*tid)) {
+            if let Some(dropped) = u64_of(lm, "dropped").filter(|&d| d > 0) {
+                out.push_str(&format!("  dropped:  {dropped} evicted events\n"));
+            }
+            let open = lm.field("open").as_array().unwrap_or_default();
+            if !open.is_empty() {
+                out.push_str("  open at capture:\n");
+                for o in open {
+                    let name = str_of(o, "name").unwrap_or("?");
+                    let open_ms = u64_of(o, "open_ms").unwrap_or(0);
+                    out.push_str(&format!("    {name}  open {open_ms} ms\n"));
                 }
             }
         }
         let tail = lane_events.len().saturating_sub(TAIL_EVENTS);
         out.push_str(&format!("  last {} events:\n", lane_events.len() - tail));
         for e in &lane_events[tail..] {
-            let name = obj_get(e, "name").and_then(as_str).unwrap_or("?");
-            let ph = obj_get(e, "ph").and_then(as_str).unwrap_or("?");
-            let ts = obj_get(e, "ts").and_then(as_f64).unwrap_or(0.0);
+            let name = str_of(e, "name").unwrap_or("?");
+            let ph = str_of(e, "ph").unwrap_or("?");
+            let ts = e.field("ts").as_f64().unwrap_or(0.0);
             out.push_str(&format!("    {:>12.3}ms {ph} {name}\n", ts / 1000.0));
         }
     }
@@ -363,15 +301,9 @@ pub fn summarize(trace: &Json) -> Result<String, String> {
         .iter()
         .flat_map(|(_, _, lane_events)| lane_events.iter())
         .filter_map(|e| {
-            let name = obj_get(e, "name").and_then(as_str)?;
-            if !name.starts_with("decision.") {
-                return None;
-            }
-            let ts = obj_get(e, "ts").and_then(as_f64).unwrap_or(0.0);
-            let score = obj_get(e, "args")
-                .and_then(|a| obj_get(a, "score"))
-                .and_then(as_f64)
-                .unwrap_or(f64::NAN);
+            let name = str_of(e, "name").filter(|n| n.starts_with("decision."))?;
+            let ts = e.field("ts").as_f64().unwrap_or(0.0);
+            let score = e.field("args").field("score").as_f64().unwrap_or(f64::NAN);
             Some((ts, format!("{:>12.3}ms {name}  score={score:.4}", ts / 1000.0)))
         })
         .collect();
@@ -390,7 +322,8 @@ pub fn summarize(trace: &Json) -> Result<String, String> {
 pub fn summarize_file(path: &Path) -> Result<String, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let trace = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let trace: Value =
+        serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     summarize(&trace)
 }
 
@@ -417,20 +350,15 @@ mod tests {
     #[test]
     fn chrome_json_has_phases_and_metadata() {
         let dump = sample_dump();
-        let trace = to_chrome_json(&dump);
-        let text = trace.pretty();
-        let parsed = json::parse(&text).expect("written trace must parse");
-        let events = match obj_get(&parsed, "traceEvents") {
-            Some(Json::Arr(events)) => events,
-            _ => panic!("missing traceEvents"),
-        };
+        let text = serde_json::to_string_pretty(&to_chrome_json(&dump)).unwrap();
+        let parsed: Value = serde_json::from_str(&text).expect("written trace must parse");
+        let events = parsed.field("traceEvents").as_array().expect("traceEvents");
         let phases: Vec<&str> =
-            events.iter().filter_map(|e| obj_get(e, "ph").and_then(as_str)).collect();
+            events.iter().filter_map(|e| e.field("ph").as_str().ok()).collect();
         for needed in ["M", "B", "E", "C", "i"] {
             assert!(phases.contains(&needed), "missing phase {needed} in {phases:?}");
         }
-        let meta = obj_get(&parsed, "metadata").expect("metadata");
-        assert_eq!(obj_get(meta, "reason").and_then(as_str), Some("test: sample"));
+        assert_eq!(parsed.field("metadata").field("reason").as_str().unwrap(), "test: sample");
         assert!(text.contains("chrome_inner") && text.contains("thread_name"));
     }
 
@@ -446,7 +374,7 @@ mod tests {
 
     #[test]
     fn summarize_rejects_non_trace_json() {
-        let err = summarize(&Json::obj(vec![("spans", Json::Arr(Vec::new()))]))
+        let err = summarize(&Value::object([("spans", Value::Array(Vec::new()))]))
             .expect_err("not a trace");
         assert!(err.contains("traceEvents"));
     }

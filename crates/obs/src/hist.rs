@@ -12,6 +12,8 @@
 //! A value exactly on a boundary therefore always lands in the bucket
 //! *above* it.
 
+use serde::{Deserialize, Error, Serialize, Value};
+
 /// The default bucket boundaries: a log-ish ladder wide enough for the
 /// quantities WYM records (ratios, counts per record, losses, seconds).
 pub fn default_bounds() -> Vec<f64> {
@@ -74,37 +76,6 @@ impl Histogram {
         if v > self.max {
             self.max = v;
         }
-    }
-
-    /// Rebuilds a histogram from exported parts (the `obs_diff` read path).
-    /// The total count is derived from the bucket counts, so a rebuilt
-    /// histogram always satisfies the per-bucket/total consistency
-    /// invariant. `min`/`max` use the empty sentinels (+∞/−∞) when absent.
-    ///
-    /// # Errors
-    /// Rejects a `counts` slice whose length is not `bounds.len() + 1`.
-    pub fn from_parts(
-        bounds: &[f64],
-        counts: &[u64],
-        sum: f64,
-        min: f64,
-        max: f64,
-    ) -> Result<Histogram, String> {
-        if counts.len() != bounds.len() + 1 {
-            return Err(format!(
-                "histogram needs {} bucket counts for {} bounds, got {}",
-                bounds.len() + 1,
-                bounds.len(),
-                counts.len()
-            ));
-        }
-        let mut h = Histogram::new(bounds);
-        h.counts = counts.to_vec();
-        h.count = counts.iter().sum();
-        h.sum = sum;
-        h.min = min;
-        h.max = max;
-        Ok(h)
     }
 
     /// Folds `other` into `self`: per-bucket counts, total count, and sum
@@ -177,8 +148,8 @@ impl Histogram {
     /// the true quantile sits on a bucket edge. The underflow bucket
     /// interpolates up from the observed `min` and the overflow bucket
     /// toward the observed `max`; when those extrema are unavailable
-    /// (a histogram rebuilt via [`Histogram::from_parts`] with the empty
-    /// sentinels) the adjacent boundary stands in. Returns `None` when the
+    /// (a histogram read back from JSON with `null` extrema) the adjacent
+    /// boundary stands in. Returns `None` when the
     /// histogram is empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
@@ -212,6 +183,71 @@ impl Histogram {
         // Unreachable while count equals the bucket-count sum; be lenient
         // toward hand-built parts instead of panicking.
         Some(self.max)
+    }
+}
+
+impl Histogram {
+    /// The histogram as a JSON object: `bounds`, `counts`, `sum`, `min`
+    /// and `max` (`null` while empty), plus the derived `count` and `mean`
+    /// when `summary` is set (the snapshot layout). Sketches and window
+    /// frames store the compact layout, which is also [`Serialize`]'s.
+    pub(crate) fn to_value_with(&self, summary: bool) -> Value {
+        let extremum = |v: f64| if self.count == 0 { Value::Null } else { v.to_value() };
+        let mut fields = vec![("bounds", self.bounds.to_value()), ("counts", self.counts.to_value())];
+        if summary {
+            fields.push(("count", self.count.to_value()));
+        }
+        fields.push(("sum", self.sum.to_value()));
+        if summary {
+            fields.push(("mean", self.mean().to_value()));
+        }
+        fields.push(("min", extremum(self.min)));
+        fields.push(("max", extremum(self.max)));
+        Value::object(fields)
+    }
+}
+
+impl Serialize for Histogram {
+    fn to_value(&self) -> Value {
+        self.to_value_with(false)
+    }
+}
+
+/// Reads either layout: the snapshot one (with `count` and `mean`) or the
+/// compact one [`Serialize`] writes for sketches and windows. The total
+/// count is derived from the bucket counts, so a read histogram always
+/// satisfies the per-bucket/total invariant. A missing `sum` reads as 0
+/// and `null` (empty) extrema as the +∞/−∞ sentinels. Malformed bounds
+/// and a `counts` array whose length is not `bounds.len() + 1` are errors.
+impl Deserialize for Histogram {
+    fn from_value(v: &Value) -> Result<Histogram, Error> {
+        let bounds = v
+            .field("bounds")
+            .as_array()
+            .and_then(|b| b.iter().map(Value::as_f64).collect::<Result<Vec<f64>, _>>())
+            .map_err(|e| e.in_field("bounds"))?;
+        if bounds.is_empty() || !bounds.windows(2).all(|w| w[0] < w[1]) {
+            return Err(Error::custom(format!(
+                "histogram bounds must be non-empty and strictly increasing: {bounds:?}"
+            )));
+        }
+        let counts = Vec::<u64>::from_value(v.field("counts")).map_err(|e| e.in_field("counts"))?;
+        if counts.len() != bounds.len() + 1 {
+            return Err(Error::custom(format!(
+                "histogram needs {} bucket counts for {} bounds, got {}",
+                bounds.len() + 1,
+                bounds.len(),
+                counts.len()
+            )));
+        }
+        Ok(Histogram {
+            count: counts.iter().sum(),
+            sum: v.field("sum").as_f64().unwrap_or(0.0),
+            min: v.field("min").as_f64().unwrap_or(f64::INFINITY),
+            max: v.field("max").as_f64().unwrap_or(f64::NEG_INFINITY),
+            bounds,
+            counts,
+        })
     }
 }
 
@@ -351,13 +387,24 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_and_rejects_bad_count_arity() {
+    fn json_round_trips_both_layouts_and_rejects_bad_parts() {
         let mut h = Histogram::new(&[1.0, 2.0]);
         h.observe(0.5);
         h.observe(1.5);
-        let back =
-            Histogram::from_parts(h.bounds(), h.counts(), h.sum(), h.min(), h.max()).unwrap();
-        assert_eq!(back, h);
-        assert!(Histogram::from_parts(&[1.0, 2.0], &[1, 2], 0.0, 0.0, 0.0).is_err());
+        let empty = Histogram::new(&[1.0, 2.0]);
+        for hist in [&h, &empty] {
+            for summary in [false, true] {
+                let back = Histogram::from_value(&hist.to_value_with(summary)).unwrap();
+                assert_eq!(&back, hist);
+            }
+        }
+        assert_eq!(empty.to_value().field("min"), &Value::Null);
+        let bad = |bounds: Value, counts: Value| {
+            Histogram::from_value(&Value::object([("bounds", bounds), ("counts", counts)]))
+        };
+        assert!(bad(vec![1.0, 2.0].to_value(), vec![1u64, 2].to_value()).is_err());
+        assert!(bad(vec![2.0, 1.0].to_value(), vec![0u64; 3].to_value()).is_err());
+        assert!(bad(Vec::<f64>::new().to_value(), vec![0u64].to_value()).is_err());
+        assert!(bad(vec![1.0].to_value(), vec![Value::F64(2.7), Value::I64(0)].to_value()).is_err());
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! The paper's claim is interpretability of *decisions*; this crate is the
 //! operational counterpart — interpretability of the *system*. It provides
-//! three primitives, all dependency-free:
+//! three primitives, and depends only on the workspace's vendored serde
+//! stand-ins (its JSON documents share one codec with the model files):
 //!
 //! 1. **Spans** ([`span`]) — hierarchical wall-clock regions with
 //!    nanosecond timing. A span's path is its name prefixed by the names of
@@ -33,7 +34,6 @@ pub mod diff;
 pub mod export;
 pub mod flame;
 pub mod hist;
-pub mod json;
 pub mod manifest;
 pub mod prof;
 pub mod recorder;
@@ -45,7 +45,6 @@ pub mod window;
 pub use audit::{AuditLog, AuditOptions, DecisionCost, DecisionRecord};
 pub use export::prometheus_text;
 pub use hist::Histogram;
-pub use json::Json;
 pub use manifest::Manifest;
 pub use prof::{MemStat, TrackingAlloc};
 pub use recorder::{MemorySection, Recorder, Snapshot, SpanStat};

@@ -11,7 +11,7 @@
 //! old files — a version-1 `OBS_*.json` simply has no manifest, and every
 //! reader treats its provenance fields as unknown.
 
-use crate::json::Json;
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// The schema version this crate writes. History:
 /// 1 — bare snapshot (spans/counters/gauges/histograms/stages), no header;
@@ -21,8 +21,9 @@ pub const SCHEMA_VERSION: u32 = 2;
 /// Placeholder for provenance fields the producing binary did not know.
 pub const UNKNOWN: &str = "unknown";
 
-/// Provenance header of one exported run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Provenance header of one exported run, serialized as the JSON object
+/// stored under a file's `manifest` key.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Manifest {
     /// Export schema version (see [`SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -93,39 +94,31 @@ impl Manifest {
         self
     }
 
-    /// The manifest as the JSON object stored under the `manifest` key.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::UInt(self.schema_version as u64)),
-            ("tool", Json::str(&self.tool)),
-            ("git_sha", Json::str(&self.git_sha)),
-            ("kernel", Json::str(&self.kernel)),
-            ("threads", Json::UInt(self.threads)),
-            ("seed", Json::UInt(self.seed)),
-            ("config_hash", Json::str(&self.config_hash)),
-            ("dataset_fingerprint", Json::str(&self.dataset_fingerprint)),
-        ])
-    }
-
     /// Reads the manifest out of a whole exported file. Returns `None` for
     /// version-1 files (no `manifest` key) — the caller decides whether
-    /// that is acceptable. Unknown fields are ignored; missing fields fall
-    /// back to `unknown`/zero so partially written headers still load.
-    pub fn from_file_json(file: &Json) -> Option<Manifest> {
-        let Json::Obj(sections) = file else { return None };
-        let (_, m) = sections.iter().find(|(k, _)| k == "manifest")?;
-        let Json::Obj(fields) = m else { return None };
-        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let s = |name: &str| match get(name) {
-            Some(Json::Str(s)) => s.clone(),
-            _ => UNKNOWN.to_string(),
-        };
-        let u = |name: &str| match get(name) {
-            Some(Json::UInt(n)) => *n,
-            Some(Json::Int(n)) if *n >= 0 => *n as u64,
-            _ => 0,
-        };
-        Some(Manifest {
+    /// that is acceptable.
+    pub fn from_file_json(file: &Value) -> Option<Manifest> {
+        match file.field("manifest") {
+            Value::Null => None,
+            m => Manifest::from_value(m).ok(),
+        }
+    }
+
+    /// The schema version of a whole exported file: the manifest's value,
+    /// or 1 for pre-manifest files.
+    pub fn file_schema_version(file: &Value) -> u32 {
+        Manifest::from_file_json(file).map_or(1, |m| m.schema_version)
+    }
+}
+
+/// Unknown fields are ignored; missing or mistyped fields fall back to
+/// `unknown`/zero so partially written headers still load.
+impl Deserialize for Manifest {
+    fn from_value(v: &Value) -> Result<Manifest, Error> {
+        v.as_object()?;
+        let s = |name: &str| v.field(name).as_str().unwrap_or(UNKNOWN).to_string();
+        let u = |name: &str| v.field(name).as_u64().unwrap_or(0);
+        Ok(Manifest {
             schema_version: u("schema_version") as u32,
             tool: s("tool"),
             git_sha: s("git_sha"),
@@ -135,12 +128,6 @@ impl Manifest {
             config_hash: s("config_hash"),
             dataset_fingerprint: s("dataset_fingerprint"),
         })
-    }
-
-    /// The schema version of a whole exported file: the manifest's value,
-    /// or 1 for pre-manifest files.
-    pub fn file_schema_version(file: &Json) -> u32 {
-        Manifest::from_file_json(file).map_or(1, |m| m.schema_version)
     }
 }
 
@@ -188,7 +175,6 @@ pub fn detect_git_sha() -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn round_trips_through_file_json() {
@@ -198,9 +184,9 @@ mod tests {
             .with_seed(7)
             .with_config_bytes(b"cfg")
             .with_dataset_bytes(b"S-FZ:40");
-        let file = Json::obj(vec![("manifest", m.to_json()), ("spans", Json::Arr(vec![]))]);
-        let text = file.pretty();
-        let parsed = json::parse(&text).unwrap();
+        let file = Value::object([("manifest", m.to_value()), ("spans", Value::Array(vec![]))]);
+        let text = serde_json::to_string_pretty(&file).unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
         let back = Manifest::from_file_json(&parsed).expect("manifest present");
         assert_eq!(back, m);
         assert_eq!(Manifest::file_schema_version(&parsed), SCHEMA_VERSION);
@@ -208,9 +194,16 @@ mod tests {
 
     #[test]
     fn version1_files_have_no_manifest() {
-        let v1 = json::parse(r#"{"spans": [], "counters": {}}"#).unwrap();
+        let v1: Value = serde_json::from_str(r#"{"spans": [], "counters": {}}"#).unwrap();
         assert!(Manifest::from_file_json(&v1).is_none());
         assert_eq!(Manifest::file_schema_version(&v1), 1);
+    }
+
+    #[test]
+    fn partial_headers_load_with_unknowns() {
+        let file: Value = serde_json::from_str(r#"{"manifest": {"tool": "t", "seed": 2.7}}"#).unwrap();
+        let m = Manifest::from_file_json(&file).expect("manifest present");
+        assert_eq!((m.tool.as_str(), m.seed, m.kernel.as_str()), ("t", 0, UNKNOWN));
     }
 
     #[test]

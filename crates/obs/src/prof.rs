@@ -101,7 +101,7 @@ pub fn reset() {
 
 /// Aggregated allocator activity charged to one span path (or the
 /// unattributed root).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct MemStat {
     /// Number of allocations (including the alloc half of reallocs).
     pub allocs: u64,

@@ -9,9 +9,9 @@
 //! locally and report once.
 
 use crate::hist::{default_bounds, Histogram};
-use crate::json::Json;
 use crate::prof::MemStat;
 use crate::window::Windowed;
+use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -234,7 +234,7 @@ impl Recorder {
 /// Process-level memory numbers attached to a snapshot when profiling is
 /// on: everything the per-span cells could not attribute, plus the global
 /// live-byte track.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct MemorySection {
     /// Allocator activity outside any span (the `(unattributed)` root).
     pub unattributed: MemStat,
@@ -292,139 +292,6 @@ impl Snapshot {
             && self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
-    }
-
-    /// The snapshot as a JSON tree — the schema of `results/OBS_*.json`:
-    /// `spans` (array), `counters` / `gauges` (objects), `histograms`
-    /// (objects with `bounds` / `counts` / stats), `stages` (object,
-    /// zero-valued for registered-but-never-run stages), and — when memory
-    /// profiling was on — per-span `mem` objects plus a top-level `memory`
-    /// section. Version-2 files written by [`crate::JsonFileSink`] prefix
-    /// all of this with a `manifest` header (see [`crate::Manifest`]);
-    /// version-1 files have neither manifest nor memory keys, and
-    /// [`Snapshot::from_json`] accepts both.
-    pub fn to_json(&self) -> Json {
-        let spans = Json::Arr(
-            self.spans
-                .iter()
-                .map(|s| {
-                    let mut fields = vec![
-                        ("path", Json::str(&s.path)),
-                        ("count", Json::UInt(s.count)),
-                        ("total_ns", Json::UInt(s.total_ns)),
-                        ("mean_ns", Json::UInt(s.mean_ns())),
-                        ("min_ns", Json::UInt(s.min_ns)),
-                        ("max_ns", Json::UInt(s.max_ns)),
-                    ];
-                    if let Some(m) = &s.mem {
-                        fields.push(("mem", mem_to_json(m)));
-                    }
-                    Json::obj(fields)
-                })
-                .collect(),
-        );
-        let counters =
-            Json::Obj(self.counters.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))).collect());
-        let gauges =
-            Json::Obj(self.gauges.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect());
-        let histograms = Json::Obj(
-            self.histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Json::obj(vec![
-                            ("bounds", Json::Arr(h.bounds().iter().map(|&b| Json::Num(b)).collect())),
-                            ("counts", Json::Arr(h.counts().iter().map(|&c| Json::UInt(c)).collect())),
-                            ("count", Json::UInt(h.count())),
-                            ("sum", Json::Num(h.sum())),
-                            ("mean", Json::Num(h.mean())),
-                            ("min", if h.count() == 0 { Json::Null } else { Json::Num(h.min()) }),
-                            ("max", if h.count() == 0 { Json::Null } else { Json::Num(h.max()) }),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let stages =
-            Json::Obj(self.stages.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))).collect());
-        let mut sections = vec![
-            ("spans", spans),
-            ("counters", counters),
-            ("gauges", gauges),
-            ("histograms", histograms),
-            ("stages", stages),
-        ];
-        if let Some(mem) = &self.memory {
-            sections.push((
-                "memory",
-                Json::obj(vec![
-                    ("unattributed", mem_to_json(&mem.unattributed)),
-                    ("live_bytes", Json::Int(mem.live_bytes)),
-                    ("peak_live_bytes", Json::Int(mem.peak_live_bytes)),
-                ]),
-            ));
-        }
-        if let Some(w) = &self.windows {
-            // Additive optional section, like `memory`: readers that
-            // predate windows ignore it, so the file schema version stays
-            // put (the same tolerance the artifact container grants
-            // unknown sections).
-            sections.push(("windows", w.to_json()));
-        }
-        Json::obj(sections)
-    }
-
-    /// Parses a snapshot back out of its [`Snapshot::to_json`] form (the
-    /// body of an `OBS_*.json` file, with or without a `manifest` header).
-    /// Tolerant of version-1 files: missing `memory` keys and span `mem`
-    /// objects simply come back as `None`, and unknown keys are ignored.
-    pub fn from_json(v: &Json) -> Result<Snapshot, String> {
-        let Json::Obj(sections) = v else {
-            return Err("snapshot JSON must be an object".to_string());
-        };
-        let get = |name: &str| sections.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let mut snap = Snapshot::default();
-        if let Some(Json::Arr(spans)) = get("spans") {
-            for s in spans {
-                snap.spans.push(span_from_json(s)?);
-            }
-        }
-        if let Some(Json::Obj(counters)) = get("counters") {
-            for (k, v) in counters {
-                snap.counters.push((k.clone(), as_u64(v).ok_or("bad counter value")?));
-            }
-        }
-        if let Some(Json::Obj(gauges)) = get("gauges") {
-            for (k, v) in gauges {
-                snap.gauges.push((k.clone(), as_f64(v).ok_or("bad gauge value")?));
-            }
-        }
-        if let Some(Json::Obj(hists)) = get("histograms") {
-            for (k, v) in hists {
-                snap.histograms.push((k.clone(), hist_from_json(v)?));
-            }
-        }
-        if let Some(Json::Obj(stages)) = get("stages") {
-            for (k, v) in stages {
-                snap.stages.push((k.clone(), as_u64(v).ok_or("bad stage count")?));
-            }
-        }
-        if let Some(Json::Obj(mem)) = get("memory") {
-            let field = |name: &str| mem.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-            snap.memory = Some(MemorySection {
-                unattributed: field("unattributed")
-                    .map(mem_from_json)
-                    .transpose()?
-                    .unwrap_or_default(),
-                live_bytes: field("live_bytes").and_then(as_i64).unwrap_or(0),
-                peak_live_bytes: field("peak_live_bytes").and_then(as_i64).unwrap_or(0),
-            });
-        }
-        if let Some(w) = get("windows") {
-            snap.windows = Some(Windowed::from_json(w)?);
-        }
-        Ok(snap)
     }
 
     /// Human-readable rendering: an indented span tree followed by metric
@@ -502,98 +369,104 @@ impl Snapshot {
     }
 }
 
-/// A [`MemStat`] as the JSON object stored under a span's `mem` key.
-fn mem_to_json(m: &MemStat) -> Json {
-    Json::obj(vec![
-        ("allocs", Json::UInt(m.allocs)),
-        ("frees", Json::UInt(m.frees)),
-        ("alloc_bytes", Json::UInt(m.alloc_bytes)),
-        ("free_bytes", Json::UInt(m.free_bytes)),
-        ("peak_net_bytes", Json::Int(m.peak_net_bytes)),
-    ])
-}
-
-fn mem_from_json(v: &Json) -> Result<MemStat, String> {
-    let Json::Obj(fields) = v else {
-        return Err("mem must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    Ok(MemStat {
-        allocs: get("allocs").and_then(as_u64).unwrap_or(0),
-        frees: get("frees").and_then(as_u64).unwrap_or(0),
-        alloc_bytes: get("alloc_bytes").and_then(as_u64).unwrap_or(0),
-        free_bytes: get("free_bytes").and_then(as_u64).unwrap_or(0),
-        peak_net_bytes: get("peak_net_bytes").and_then(as_i64).unwrap_or(0),
-    })
-}
-
-fn span_from_json(v: &Json) -> Result<SpanStat, String> {
-    let Json::Obj(fields) = v else {
-        return Err("span must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let Some(Json::Str(path)) = get("path") else {
-        return Err("span is missing its path".to_string());
-    };
-    Ok(SpanStat {
-        path: path.clone(),
-        count: get("count").and_then(as_u64).ok_or("span missing count")?,
-        total_ns: get("total_ns").and_then(as_u64).unwrap_or(0),
-        min_ns: get("min_ns").and_then(as_u64).unwrap_or(0),
-        max_ns: get("max_ns").and_then(as_u64).unwrap_or(0),
-        mem: get("mem").map(mem_from_json).transpose()?,
-    })
-}
-
-fn hist_from_json(v: &Json) -> Result<Histogram, String> {
-    let Json::Obj(fields) = v else {
-        return Err("histogram must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let Some(Json::Arr(bounds)) = get("bounds") else {
-        return Err("histogram missing bounds".to_string());
-    };
-    let Some(Json::Arr(counts)) = get("counts") else {
-        return Err("histogram missing counts".to_string());
-    };
-    let bounds: Vec<f64> =
-        bounds.iter().map(|b| as_f64(b).ok_or("bad bound")).collect::<Result<_, _>>()?;
-    let counts: Vec<u64> =
-        counts.iter().map(|c| as_u64(c).ok_or("bad bucket count")).collect::<Result<_, _>>()?;
-    // Exported min/max are null for empty histograms; fall back to the
-    // empty sentinels so the round trip is faithful.
-    Histogram::from_parts(
-        &bounds,
-        &counts,
-        get("sum").and_then(as_f64).unwrap_or(0.0),
-        get("min").and_then(as_f64).unwrap_or(f64::INFINITY),
-        get("max").and_then(as_f64).unwrap_or(f64::NEG_INFINITY),
-    )
-}
-
-pub(crate) fn as_u64(v: &Json) -> Option<u64> {
-    match v {
-        Json::UInt(n) => Some(*n),
-        Json::Int(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
+/// The snapshot as a JSON tree — the schema of `results/OBS_*.json`:
+/// `spans` (array), `counters` / `gauges` (objects), `histograms`
+/// (objects with `bounds` / `counts` / stats), `stages` (object,
+/// zero-valued for registered-but-never-run stages), and — when memory
+/// profiling was on — per-span `mem` objects plus a top-level `memory`
+/// section; an enabled window ring adds `windows`. Version-2 files written
+/// by [`crate::JsonFileSink`] prefix all of this with a `manifest` header
+/// (see [`crate::Manifest`]); version-1 files have neither manifest nor
+/// memory keys, and the [`Deserialize`] impl accepts both.
+impl Serialize for Snapshot {
+    fn to_value(&self) -> Value {
+        fn named<V>(pairs: &[(String, V)], value: impl Fn(&V) -> Value) -> Value {
+            Value::Object(pairs.iter().map(|(k, v)| (k.clone(), value(v))).collect())
+        }
+        let mut sections = vec![
+            ("spans", self.spans.to_value()),
+            ("counters", named(&self.counters, Serialize::to_value)),
+            ("gauges", named(&self.gauges, Serialize::to_value)),
+            ("histograms", named(&self.histograms, |h| h.to_value_with(true))),
+            ("stages", named(&self.stages, Serialize::to_value)),
+        ];
+        if let Some(mem) = &self.memory {
+            sections.push(("memory", mem.to_value()));
+        }
+        if let Some(w) = &self.windows {
+            // Additive optional section, like `memory`: readers that
+            // predate windows ignore it, so the file schema version stays
+            // put (the same tolerance the artifact container grants
+            // unknown sections).
+            sections.push(("windows", w.to_value()));
+        }
+        Value::object(sections)
     }
 }
 
-pub(crate) fn as_i64(v: &Json) -> Option<i64> {
-    match v {
-        Json::Int(n) => Some(*n),
-        Json::UInt(n) if *n <= i64::MAX as u64 => Some(*n as i64),
-        _ => None,
+/// Reads a snapshot back out of its [`Serialize`] form (the body of an
+/// `OBS_*.json` file, with or without a `manifest` header). Tolerant of
+/// version-1 files: absent sections read as empty, absent `memory`,
+/// `windows` and span `mem` objects as `None`, and unknown keys are
+/// ignored. Named entries come back sorted by name, as recorded.
+impl Deserialize for Snapshot {
+    fn from_value(v: &Value) -> Result<Snapshot, Error> {
+        fn named<T: Deserialize>(v: &Value, section: &str) -> Result<Vec<(String, T)>, Error> {
+            let map: Option<BTreeMap<String, T>> = opt_field(v, section)?;
+            Ok(map.unwrap_or_default().into_iter().collect())
+        }
+        v.as_object()?;
+        Ok(Snapshot {
+            spans: opt_field(v, "spans")?.unwrap_or_default(),
+            counters: named(v, "counters")?,
+            gauges: named(v, "gauges")?,
+            histograms: named(v, "histograms")?,
+            stages: named(v, "stages")?,
+            memory: opt_field(v, "memory")?,
+            windows: opt_field(v, "windows")?,
+        })
     }
 }
 
-pub(crate) fn as_f64(v: &Json) -> Option<f64> {
-    match v {
-        Json::Num(n) => Some(*n),
-        Json::Int(n) => Some(*n as f64),
-        Json::UInt(n) => Some(*n as f64),
-        _ => None,
+impl Serialize for SpanStat {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("path", self.path.to_value()),
+            ("count", self.count.to_value()),
+            ("total_ns", self.total_ns.to_value()),
+            ("mean_ns", self.mean_ns().to_value()),
+            ("min_ns", self.min_ns.to_value()),
+            ("max_ns", self.max_ns.to_value()),
+        ];
+        if let Some(m) = &self.mem {
+            fields.push(("mem", m.to_value()));
+        }
+        Value::object(fields)
     }
+}
+
+impl Deserialize for SpanStat {
+    fn from_value(v: &Value) -> Result<SpanStat, Error> {
+        Ok(SpanStat {
+            path: field(v, "path")?,
+            count: field(v, "count")?,
+            total_ns: opt_field(v, "total_ns")?.unwrap_or(0),
+            min_ns: opt_field(v, "min_ns")?.unwrap_or(0),
+            max_ns: opt_field(v, "max_ns")?.unwrap_or(0),
+            mem: opt_field(v, "mem")?,
+        })
+    }
+}
+
+/// Required field `name` of object `v`, read as `T`.
+pub(crate) fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
+    T::from_value(v.field(name)).map_err(|e| e.in_field(name))
+}
+
+/// Optional field `name` of object `v`, read as `T`: `None` when absent or
+/// `null`, an error when present but malformed.
+pub(crate) fn opt_field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, Error> {
+    field(v, name)
 }
 
 /// Pretty-prints nanoseconds at a human scale.
@@ -659,11 +532,25 @@ mod tests {
         r.counter_add("c", 1);
         r.gauge_set("g", 0.5);
         r.hist_observe("h", None, 1.0);
-        let json = r.snapshot().to_json().pretty();
+        let json = serde_json::to_string_pretty(&r.snapshot()).unwrap();
         for key in ["\"spans\"", "\"counters\"", "\"gauges\"", "\"histograms\"", "\"stages\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.contains("\"pair\": 1"));
+    }
+
+    #[test]
+    fn fractional_counts_are_rejected() {
+        let r = Recorder::new_enabled();
+        r.record_span("fit", 5);
+        let mut v = r.snapshot().to_value();
+        assert_eq!(Snapshot::from_value(&v).unwrap().span_count("fit"), 1);
+        let Value::Object(sections) = &mut v else { unreachable!() };
+        let Value::Array(spans) = &mut sections[0].1 else { unreachable!() };
+        let Value::Object(fields) = &mut spans[0] else { unreachable!() };
+        fields[1].1 = Value::F64(2.7);
+        let err = Snapshot::from_value(&v).unwrap_err().to_string();
+        assert!(err.contains("count"), "{err}");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::manifest::Manifest;
 use crate::recorder::Snapshot;
+use serde::{Serialize, Value};
 use std::io::{self, Write};
 use std::path::PathBuf;
 
@@ -59,17 +60,28 @@ impl Sink for JsonFileSink {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let body = snap.to_json();
-        let out = match &self.manifest {
-            Some(m) => {
-                let crate::json::Json::Obj(mut sections) = body else { unreachable!() };
-                sections.insert(0, ("manifest".to_string(), m.to_json()));
-                crate::json::Json::Obj(sections)
-            }
-            None => body,
-        };
-        std::fs::write(&self.path, out.pretty())
+        std::fs::write(&self.path, file_json(snap, self.manifest.as_ref()))
     }
+}
+
+/// The pretty-printed, newline-terminated `OBS_*.json` document for `snap`,
+/// led by the `manifest` header when one is given.
+pub fn file_json(snap: &Snapshot, manifest: Option<&Manifest>) -> String {
+    let Value::Object(mut sections) = snap.to_value() else {
+        unreachable!("a snapshot serializes to an object")
+    };
+    if let Some(m) = manifest {
+        sections.insert(0, ("manifest".to_string(), m.to_value()));
+    }
+    pretty_line(&Value::Object(sections))
+}
+
+/// `value` as pretty-printed JSON with a trailing newline — the layout of
+/// every document file the observability layer writes.
+pub fn pretty_line<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut text = serde_json::to_string_pretty(value).expect("the JSON printer cannot fail");
+    text.push('\n');
+    text
 }
 
 /// Discards snapshots.
@@ -113,14 +125,13 @@ mod tests {
         let m = Manifest::new("sink-test").with_seed(9);
         JsonFileSink::new(&path).with_manifest(m.clone()).emit(&rec.snapshot()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let parsed = crate::json::parse(&text).unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
         assert_eq!(Manifest::from_file_json(&parsed), Some(m));
         // `manifest` must be the first key so readers (and humans) see
         // provenance before data.
-        let crate::json::Json::Obj(sections) = parsed else { panic!() };
-        assert_eq!(sections[0].0, "manifest");
+        assert_eq!(parsed.as_object().unwrap()[0].0, "manifest");
         // The body still parses as a snapshot.
-        let snap = Snapshot::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let snap: Snapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(snap.span_count("fit"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -20,7 +20,10 @@
 //! with half-a-count (Jeffreys) smoothing so empty buckets never divide by
 //! zero and small samples don't alarm spuriously. The
 //! conventional reading: `< 0.1` stable, `0.1–0.2` drifting, `> 0.2` act —
-//! [`DRIFT_TRIP_PSI`] uses 0.2. [`DriftReport::publish`] mirrors the result
+//! [`DRIFT_TRIP_PSI`] uses 0.2. Below [`DRIFT_MIN_LIVE`] live decisions
+//! the check reports `INSUFFICIENT` and never trips: small batches carry
+//! too little mass for PSI over twenty buckets to mean anything.
+//! [`DriftReport::publish`] mirrors the result
 //! into `obs.drift.*` gauges and alert counters so the exposition layer
 //! (Prometheus text, `obs_diff` baselines) sees exactly what the report
 //! says.
@@ -30,13 +33,19 @@
 //! and thread counts like the rest of the workspace.
 
 use crate::hist::Histogram;
-use crate::json::Json;
-use crate::recorder::{as_f64, as_u64};
+use crate::recorder::{field, opt_field};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// PSI at or above this trips the sentinel (the conventional 0.2 "act"
 /// threshold).
 pub const DRIFT_TRIP_PSI: f64 = 0.2;
+
+/// Live decisions below which a drift check is `INSUFFICIENT` and never
+/// trips: five expected decisions per score bucket across the twenty
+/// buckets of [`score_bounds`]. Below it, sampling noise alone pushes the
+/// score PSI past [`DRIFT_TRIP_PSI`] on in-distribution traffic.
+pub const DRIFT_MIN_LIVE: u64 = 100;
 
 /// Smoothing mass added to every bucket count (Jeffreys prior) so PSI
 /// stays finite — and *calibrated* — when one side has an empty bucket the
@@ -136,7 +145,8 @@ impl ModelSketch {
     }
 
     /// PSI of `live` against this baseline, per component. Components in
-    /// stable order: `score`, `pair_rate`, `unit_mix`.
+    /// stable order: `score`, `pair_rate`, `unit_mix`. The report never
+    /// trips while `live` holds fewer than [`DRIFT_MIN_LIVE`] decisions.
     pub fn compare(&self, live: &ModelSketch) -> DriftReport {
         let components = vec![
             (
@@ -154,49 +164,36 @@ impl ModelSketch {
         ];
         let max_psi = components.iter().map(|(_, p)| *p).fold(0.0f64, f64::max);
         DriftReport {
-            tripped: max_psi >= DRIFT_TRIP_PSI,
+            tripped: live.n >= DRIFT_MIN_LIVE && max_psi >= DRIFT_TRIP_PSI,
             baseline_n: self.n,
             live_n: live.n,
             components,
             max_psi,
         }
     }
+}
 
-    /// The sketch as the JSON object stored in the artifact's `sketch`
-    /// section and in decision reports.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("n", Json::UInt(self.n)),
-            ("scores", hist_to_json(&self.scores)),
-            ("pair_rate", hist_to_json(&self.pair_rate)),
-            (
-                "unit_mix",
-                Json::Obj(
-                    self.unit_mix
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::UInt(*v)))
-                        .collect(),
-                ),
-            ),
+/// The sketch as the JSON object stored in the artifact's `sketch` section
+/// and in decision reports.
+impl Serialize for ModelSketch {
+    fn to_value(&self) -> Value {
+        Value::object([
+            ("n", self.n.to_value()),
+            ("scores", self.scores.to_value()),
+            ("pair_rate", self.pair_rate.to_value()),
+            ("unit_mix", self.unit_mix.to_value()),
         ])
     }
+}
 
-    /// Parses a sketch back out of its [`ModelSketch::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<ModelSketch, String> {
-        let Json::Obj(fields) = v else {
-            return Err("sketch must be an object".to_string());
-        };
-        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let n = get("n").and_then(as_u64).ok_or("sketch missing n")?;
-        let scores = hist_from_json(get("scores").ok_or("sketch missing scores")?)?;
-        let pair_rate = hist_from_json(get("pair_rate").ok_or("sketch missing pair_rate")?)?;
-        let mut unit_mix = BTreeMap::new();
-        if let Some(Json::Obj(mix)) = get("unit_mix") {
-            for (k, v) in mix {
-                unit_mix.insert(k.clone(), as_u64(v).ok_or("bad unit_mix count")?);
-            }
-        }
-        Ok(ModelSketch { scores, pair_rate, unit_mix, n })
+impl Deserialize for ModelSketch {
+    fn from_value(v: &Value) -> Result<ModelSketch, Error> {
+        Ok(ModelSketch {
+            scores: field(v, "scores")?,
+            pair_rate: field(v, "pair_rate")?,
+            unit_mix: opt_field(v, "unit_mix")?.unwrap_or_default(),
+            n: field(v, "n")?,
+        })
     }
 }
 
@@ -216,9 +213,22 @@ pub struct DriftReport {
 }
 
 impl DriftReport {
+    /// Whether the live side held too few decisions (fewer than
+    /// [`DRIFT_MIN_LIVE`]) for the report to carry a verdict.
+    fn insufficient(&self) -> bool {
+        self.live_n < DRIFT_MIN_LIVE
+    }
+
     /// One-line human rendering, e.g.
-    /// `ALERT max_psi=0.41 (score=0.41 pair_rate=0.02 unit_mix=0.00; live n=200 vs baseline n=800)`.
+    /// `ALERT max_psi=0.41 (score=0.41 pair_rate=0.02 unit_mix=0.00; live n=200 vs baseline n=800)`,
+    /// or `INSUFFICIENT (live n=20 < 100; baseline n=800)` below the floor.
     pub fn render(&self) -> String {
+        if self.insufficient() {
+            return format!(
+                "INSUFFICIENT (live n={} < {DRIFT_MIN_LIVE}; baseline n={})",
+                self.live_n, self.baseline_n
+            );
+        }
         let comps = self
             .components
             .iter()
@@ -279,46 +289,6 @@ fn psi_categorical(p: &BTreeMap<String, u64>, q: &BTreeMap<String, u64>) -> f64 
     psi(&pv, &qv)
 }
 
-fn hist_to_json(h: &Histogram) -> Json {
-    Json::obj(vec![
-        (
-            "bounds",
-            Json::Arr(h.bounds().iter().map(|&b| Json::Num(b)).collect()),
-        ),
-        (
-            "counts",
-            Json::Arr(h.counts().iter().map(|&c| Json::UInt(c)).collect()),
-        ),
-        ("sum", Json::Num(h.sum())),
-        ("min", if h.count() == 0 { Json::Null } else { Json::Num(h.min()) }),
-        ("max", if h.count() == 0 { Json::Null } else { Json::Num(h.max()) }),
-    ])
-}
-
-fn hist_from_json(v: &Json) -> Result<Histogram, String> {
-    let Json::Obj(fields) = v else {
-        return Err("sketch histogram must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let Some(Json::Arr(bounds)) = get("bounds") else {
-        return Err("sketch histogram missing bounds".to_string());
-    };
-    let Some(Json::Arr(counts)) = get("counts") else {
-        return Err("sketch histogram missing counts".to_string());
-    };
-    let bounds: Vec<f64> =
-        bounds.iter().map(|b| as_f64(b).ok_or("bad bound")).collect::<Result<_, _>>()?;
-    let counts: Vec<u64> =
-        counts.iter().map(|c| as_u64(c).ok_or("bad count")).collect::<Result<_, _>>()?;
-    Histogram::from_parts(
-        &bounds,
-        &counts,
-        get("sum").and_then(as_f64).unwrap_or(0.0),
-        get("min").and_then(as_f64).unwrap_or(f64::INFINITY),
-        get("max").and_then(as_f64).unwrap_or(f64::NEG_INFINITY),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,11 +313,27 @@ mod tests {
     #[test]
     fn shifted_scores_trip_the_sentinel() {
         let base = sketch_of(&[0.05, 0.1, 0.12, 0.15, 0.08], "title");
-        let live = sketch_of(&[0.85, 0.9, 0.92, 0.95, 0.88], "title");
+        let live = sketch_of(&[0.85, 0.9, 0.92, 0.95, 0.88].repeat(20), "title");
         let report = base.compare(&live);
         assert!(report.tripped, "opposite score mass must trip: {}", report.render());
         assert_eq!(report.components[0].0, "score");
         assert!(report.components[0].1 >= DRIFT_TRIP_PSI);
+    }
+
+    #[test]
+    fn small_live_batches_are_insufficient_not_alarms() {
+        // An in-distribution baseline spread over the score range; live
+        // batches are its own prefixes, far too small to judge.
+        let stream: Vec<f32> = (0..120).map(|i| ((i * 37) % 100) as f32 / 100.0).collect();
+        let base = sketch_of(&stream, "title");
+        for n in [0, 5, 20] {
+            let report = base.compare(&sketch_of(&stream[..n], "title"));
+            assert!(report.insufficient() && !report.tripped, "n={n}: {}", report.render());
+            let line = report.render();
+            assert!(line.starts_with(&format!("INSUFFICIENT (live n={n} ")), "{line}");
+        }
+        let full = base.compare(&sketch_of(&stream, "title"));
+        assert!(!full.insufficient() && full.render().starts_with("OK "), "{}", full.render());
     }
 
     #[test]
@@ -392,22 +378,21 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_counts() {
         let s = sketch_of(&[0.1, 0.6, 0.6, 0.97], "name");
-        let json = s.to_json();
-        let back = ModelSketch::from_json(&json).unwrap();
-        assert_eq!(back.scores().counts(), s.scores().counts());
-        assert_eq!(back.unit_mix(), s.unit_mix());
-        assert_eq!(back.len(), s.len());
+        let back = ModelSketch::from_value(&s.to_value()).unwrap();
+        assert_eq!(back, s);
         // PSI against the round-tripped twin is still zero.
         assert!(s.compare(&back).max_psi < 1e-9);
-        // And via rendered text, the artifact read path.
-        let reparsed = crate::json::parse(&json.render()).unwrap();
-        assert!(ModelSketch::from_json(&reparsed).is_ok());
+        // And via rendered text, the artifact read path, empty included.
+        for sketch in [s, ModelSketch::new()] {
+            let text = serde_json::to_string(&sketch).unwrap();
+            assert_eq!(serde_json::from_str::<ModelSketch>(&text).unwrap(), sketch);
+        }
     }
 
     #[test]
     fn render_names_every_component() {
         let base = sketch_of(&[0.1], "a");
-        let r = base.compare(&sketch_of(&[0.9], "a")).render();
+        let r = base.compare(&sketch_of(&[0.9; 100], "a")).render();
         for needle in ["score=", "pair_rate=", "unit_mix=", "max_psi="] {
             assert!(r.contains(needle), "missing {needle} in {r}");
         }

@@ -18,8 +18,8 @@
 //! the ring has wrapped and absolute positions differ from logical ages.
 
 use crate::hist::{default_bounds, Histogram};
-use crate::json::Json;
-use crate::recorder::{as_f64, as_u64};
+use crate::recorder::{field, opt_field};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -164,135 +164,61 @@ impl Windowed {
         let (merged, _) = self.merged(last_n);
         merged.hists.get(name).and_then(|h| h.quantile(q))
     }
+}
 
-    /// The ring as the JSON object stored under a snapshot's `windows` key.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("capacity", Json::UInt(self.capacity as u64)),
-            ("advances", Json::UInt(self.advances)),
-            (
-                "frames",
-                Json::Arr(self.frames.iter().map(frame_to_json).collect()),
-            ),
+/// The ring as the JSON object stored under a snapshot's `windows` key.
+impl Serialize for Windowed {
+    fn to_value(&self) -> Value {
+        Value::object([
+            ("capacity", self.capacity.to_value()),
+            ("advances", self.advances.to_value()),
+            ("frames", Value::Array(self.frames.iter().map(Serialize::to_value).collect())),
         ])
     }
+}
 
-    /// Parses a ring back out of its [`Windowed::to_json`] form.
-    pub fn from_json(v: &Json) -> Result<Windowed, String> {
-        let Json::Obj(fields) = v else {
-            return Err("windows must be an object".to_string());
-        };
-        let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let capacity = get("capacity")
-            .and_then(as_u64)
-            .ok_or("windows missing capacity")? as usize;
+/// Reads a ring back, rejecting a zero capacity or more frames than the
+/// declared capacity.
+impl Deserialize for Windowed {
+    fn from_value(v: &Value) -> Result<Windowed, Error> {
+        let capacity: usize = field(v, "capacity")?;
         if capacity == 0 {
-            return Err("windows capacity must be >= 1".to_string());
+            return Err(Error::custom("windows capacity must be >= 1"));
         }
-        let advances = get("advances").and_then(as_u64).ok_or("windows missing advances")?;
-        let mut frames = VecDeque::with_capacity(capacity);
-        if let Some(Json::Arr(arr)) = get("frames") {
-            for f in arr {
-                frames.push_back(frame_from_json(f)?);
-            }
-        }
+        let advances = field(v, "advances")?;
+        let mut frames: VecDeque<WindowFrame> =
+            opt_field::<Vec<WindowFrame>>(v, "frames")?.unwrap_or_default().into();
         if frames.is_empty() {
             frames.push_back(WindowFrame::new(advances));
         }
         if frames.len() > capacity {
-            return Err(format!(
+            return Err(Error::custom(format!(
                 "windows hold {} frames but declare capacity {capacity}",
                 frames.len()
-            ));
+            )));
         }
         Ok(Windowed { capacity, advances, frames })
     }
 }
 
-fn frame_to_json(f: &WindowFrame) -> Json {
-    Json::obj(vec![
-        ("epoch", Json::UInt(f.epoch)),
-        (
-            "counters",
-            Json::Obj(f.counters.iter().map(|(k, v)| (k.clone(), Json::UInt(*v))).collect()),
-        ),
-        (
-            "histograms",
-            Json::Obj(
-                f.hists
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            Json::obj(vec![
-                                (
-                                    "bounds",
-                                    Json::Arr(h.bounds().iter().map(|&b| Json::Num(b)).collect()),
-                                ),
-                                (
-                                    "counts",
-                                    Json::Arr(h.counts().iter().map(|&c| Json::UInt(c)).collect()),
-                                ),
-                                ("sum", Json::Num(h.sum())),
-                                (
-                                    "min",
-                                    if h.count() == 0 { Json::Null } else { Json::Num(h.min()) },
-                                ),
-                                (
-                                    "max",
-                                    if h.count() == 0 { Json::Null } else { Json::Num(h.max()) },
-                                ),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+impl Serialize for WindowFrame {
+    fn to_value(&self) -> Value {
+        Value::object([
+            ("epoch", self.epoch.to_value()),
+            ("counters", self.counters.to_value()),
+            ("histograms", self.hists.to_value()),
+        ])
+    }
 }
 
-fn frame_from_json(v: &Json) -> Result<WindowFrame, String> {
-    let Json::Obj(fields) = v else {
-        return Err("window frame must be an object".to_string());
-    };
-    let get = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let mut frame = WindowFrame::new(get("epoch").and_then(as_u64).ok_or("frame missing epoch")?);
-    if let Some(Json::Obj(counters)) = get("counters") {
-        for (k, v) in counters {
-            frame
-                .counters
-                .insert(k.clone(), as_u64(v).ok_or("bad window counter value")?);
-        }
+impl Deserialize for WindowFrame {
+    fn from_value(v: &Value) -> Result<WindowFrame, Error> {
+        Ok(WindowFrame {
+            epoch: field(v, "epoch")?,
+            counters: opt_field(v, "counters")?.unwrap_or_default(),
+            hists: opt_field(v, "histograms")?.unwrap_or_default(),
+        })
     }
-    if let Some(Json::Obj(hists)) = get("histograms") {
-        for (k, v) in hists {
-            let Json::Obj(hf) = v else {
-                return Err("window histogram must be an object".to_string());
-            };
-            let hget = |name: &str| hf.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-            let Some(Json::Arr(bounds)) = hget("bounds") else {
-                return Err("window histogram missing bounds".to_string());
-            };
-            let Some(Json::Arr(counts)) = hget("counts") else {
-                return Err("window histogram missing counts".to_string());
-            };
-            let bounds: Vec<f64> =
-                bounds.iter().map(|b| as_f64(b).ok_or("bad bound")).collect::<Result<_, _>>()?;
-            let counts: Vec<u64> = counts
-                .iter()
-                .map(|c| as_u64(c).ok_or("bad bucket count"))
-                .collect::<Result<_, _>>()?;
-            let h = Histogram::from_parts(
-                &bounds,
-                &counts,
-                hget("sum").and_then(as_f64).unwrap_or(0.0),
-                hget("min").and_then(as_f64).unwrap_or(f64::INFINITY),
-                hget("max").and_then(as_f64).unwrap_or(f64::NEG_INFINITY),
-            )?;
-            frame.hists.insert(k.clone(), h);
-        }
-    }
-    Ok(frame)
 }
 
 #[cfg(test)]
@@ -394,32 +320,24 @@ mod tests {
         w.advance();
         w.advance(); // leave an empty sealed frame in the ring
         w.counter_add("req", 1);
-        let json = w.to_json();
-        let back = Windowed::from_json(&json).expect("round trip");
-        assert_eq!(back, w);
+        w.hist_observe("empty", Some(&[1.0]), 0.5);
+        w.current().hists.insert("never".into(), Histogram::new(&[1.0]));
+        let value = w.to_value();
+        assert_eq!(Windowed::from_value(&value).expect("round trip"), w);
         // And via text, the way obs_diff reads baselines back.
-        let reparsed = crate::json::parse(&json.render()).unwrap();
-        assert_eq!(Windowed::from_json(&reparsed).unwrap(), w);
+        let text = serde_json::to_string(&w).unwrap();
+        assert_eq!(serde_json::from_str::<Windowed>(&text).unwrap(), w);
     }
 
     #[test]
-    fn from_json_rejects_inconsistent_rings() {
-        assert!(Windowed::from_json(&Json::obj(vec![
-            ("capacity", Json::UInt(0)),
-            ("advances", Json::UInt(0)),
-        ]))
-        .is_err());
+    fn from_value_rejects_inconsistent_rings() {
+        let zero = Value::object([("capacity", Value::I64(0)), ("advances", Value::I64(0))]);
+        assert!(Windowed::from_value(&zero).is_err());
         let mut w = Windowed::new(2);
         w.advance();
-        let mut json = w.to_json();
-        if let Json::Obj(fields) = &mut json {
-            for (k, v) in fields.iter_mut() {
-                if k == "capacity" {
-                    *v = Json::UInt(1); // fewer than the frames present
-                }
-            }
-        }
-        assert!(Windowed::from_json(&json).is_err());
+        let Value::Object(mut fields) = w.to_value() else { unreachable!() };
+        fields[0].1 = Value::I64(1); // fewer than the frames present
+        assert!(Windowed::from_value(&Value::Object(fields)).is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 # log, and the traced classify snapshot (windowed metrics + drift gauges)
 # must match results/OBS_baseline_decisions.json, or (j) any explicitly
 # requestable kernel backend this host supports (per `wym kernels`:
-# avx512, neon) produces a different score checksum than the scalar
+# avx512) produces a different score checksum than the scalar
 # reference — unsupported backends are reported as "SKIP (unsupported)",
 # never failed — or (k) the criterion benches no longer compile
 # (`cargo bench --no-run`), or (l) the flight recorder (DESIGN.md §15)
@@ -112,10 +112,11 @@ if [ "${1:-}" = "--smoke" ]; then
   fi
   # Kernel matrix: every explicitly requestable ISA backend this host
   # supports (per `wym kernels`) must reproduce the scalar score checksum
-  # bit-for-bit. Backends the host cannot run (e.g. neon on x86) are
-  # skipped, not failed — the dispatch layer's scalar fallback covers them.
+  # bit-for-bit. Backends the host cannot run (e.g. avx512 on an AVX2-only
+  # CPU) are skipped, not failed — the dispatch layer's scalar fallback
+  # covers them.
   SUPPORTED_KERNELS=$(./target/release/wym kernels 2>/dev/null)
-  for K in avx512 neon; do
+  for K in avx512; do
     if ! echo "$SUPPORTED_KERNELS" | grep -qx "$K"; then
       echo "=== smoke: kernel matrix WYM_KERNEL=$K — SKIP (unsupported) ==="
       continue

@@ -230,25 +230,13 @@ fn fit(dataset: &EmDataset, args: &Args) -> (WymModel, Vec<RecordPair>) {
 /// fingerprints seen — the service-side "what has this model been doing"
 /// view, built from the log alone.
 fn obs_report(args: &Args) -> Result<(), String> {
-    use wym_obs::Json;
     let path = args.require("audit")?;
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let field = |obj: &[(String, Json)], name: &str| -> Option<Json> {
-        obj.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
-    };
-    let as_f64 = |v: &Json| -> Option<f64> {
-        match v {
-            Json::Num(n) => Some(*n),
-            Json::UInt(n) => Some(*n as f64),
-            Json::Int(n) => Some(*n as f64),
-            _ => None,
-        }
-    };
     let mut total = 0u64;
     let mut matches = 0u64;
     let mut by_kind: std::collections::BTreeMap<String, u64> = Default::default();
-    let mut fnvs: std::collections::BTreeSet<String> = Default::default();
+    let mut fnvs: std::collections::BTreeSet<u64> = Default::default();
     let mut impact_attrs: std::collections::BTreeMap<String, u64> = Default::default();
     let mut margin_min = f64::INFINITY;
     let mut margin_sum = 0.0f64;
@@ -258,36 +246,20 @@ fn obs_report(args: &Args) -> Result<(), String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = wym_obs::json::parse(line)
+        let record: wym_obs::DecisionRecord = serde_json::from_str(line)
             .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let Json::Obj(obj) = v else {
-            return Err(format!("{path}:{}: decision record is not an object", lineno + 1));
-        };
         total += 1;
-        if field(&obj, "verdict") == Some(Json::Bool(true)) {
-            matches += 1;
+        matches += u64::from(record.verdict);
+        *by_kind.entry(record.kind).or_insert(0) += 1;
+        fnvs.insert(record.model_fnv);
+        let m = (record.margin as f64).abs();
+        margin_min = margin_min.min(m);
+        margin_sum += m;
+        close_calls += u64::from(m < 0.05);
+        if let Some((attr, _)) = record.top_impacts.into_iter().next() {
+            *impact_attrs.entry(attr).or_insert(0) += 1;
         }
-        if let Some(Json::Str(kind)) = field(&obj, "kind") {
-            *by_kind.entry(kind).or_insert(0) += 1;
-        }
-        if let Some(Json::Str(fnv)) = field(&obj, "model_fnv") {
-            fnvs.insert(fnv);
-        }
-        if let Some(m) = field(&obj, "margin").as_ref().and_then(as_f64) {
-            margin_min = margin_min.min(m.abs());
-            margin_sum += m.abs();
-            if m.abs() < 0.05 {
-                close_calls += 1;
-            }
-        }
-        if let Some(Json::Arr(impacts)) = field(&obj, "top_impacts") {
-            if let Some(Json::Obj(top)) = impacts.first() {
-                if let Some(Json::Str(attr)) = field(top, "attribute") {
-                    *impact_attrs.entry(attr).or_insert(0) += 1;
-                }
-            }
-        }
-        costed += u64::from(field(&obj, "cost").is_some());
+        costed += u64::from(record.cost.is_some());
     }
     if total == 0 {
         return Err(format!("{path} holds no decision records"));
@@ -320,7 +292,8 @@ fn obs_report(args: &Args) -> Result<(), String> {
             .join(" ");
         println!("  top drivers : {top}");
     }
-    println!("  models      : {}", fnvs.into_iter().collect::<Vec<_>>().join(", "));
+    let models: Vec<String> = fnvs.iter().map(|f| format!("{f:016x}")).collect();
+    println!("  models      : {}", models.join(", "));
     if costed > 0 {
         println!("  cost fields : {costed} record(s) carry wall/alloc cost");
     }
@@ -672,10 +645,8 @@ fn run(args: &Args) -> Result<(), String> {
                     let path = args.require("metrics")?;
                     let text = std::fs::read_to_string(path)
                         .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    let json =
-                        wym_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-                    let snap = wym_obs::Snapshot::from_json(&json)
-                        .map_err(|e| format!("{path}: {e}"))?;
+                    let snap: wym_obs::Snapshot =
+                        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
                     print!("{}", wym_obs::prometheus_text(&snap));
                     Ok(())
                 }

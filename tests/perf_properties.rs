@@ -174,7 +174,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The determinism contract of the kernel layer: **every** supported
-    /// implementation on this host (AVX-512, AVX2+FMA, NEON — whatever the
+    /// implementation on this host (AVX-512, AVX2+FMA — whatever the
     /// CPU exposes) returns **bit-identical** f32 to the portable scalar
     /// path, for every kernel, across lengths 0..=64 (every 8- and 16-lane
     /// remainder) and magnitudes from 1e-6 to 1e6. `available()` ignores
